@@ -49,7 +49,7 @@ func run(args []string, out io.Writer) (err error) {
 	delta := fs.Bool("delta", false, "incremental tiled histogram analysis with the fused static-frame fast path")
 	tileSize := fs.Int("tile-size", 0, "delta-analysis tile edge in pixels (0 = default 64)")
 	size := fs.Int("size", 96, "frame edge length")
-	workers := fs.Int("workers", 1, "worker goroutines for the pipelined scheduler (0 = all CPUs, 1 = serial)")
+	workers := fs.Int("workers", 1, "worker goroutines for the frame walk's parallel phases (0 = all CPUs, 1 = run every phase inline)")
 	backendSpec := fs.String("backend", "", "backlight backend: ccfl (classic pipeline), led:RxC or oled (per-zone walk)")
 	timeline := fs.Bool("timeline", false, "print the per-frame span timeline (stage durations)")
 	diag := obs.AddCLIFlags(fs)
@@ -80,7 +80,8 @@ func run(args []string, out io.Writer) (err error) {
 		return fmt.Errorf("negative -reuse %v", *reuse)
 	}
 	// The CLI convention maps 0 to "all CPUs"; the policy's own zero
-	// value means serial, which the flag expresses as 1 (the default).
+	// value means one worker, which the flag expresses as 1 (the
+	// default).
 	pw := *workers
 	if pw == 0 {
 		pw = -1
@@ -183,17 +184,23 @@ var timelineStages = []string{
 }
 
 // printTimeline renders the per-frame span timeline: one row per
-// video.frame span with its total duration and the time spent in each
-// pipeline stage beneath it (summed over the frame's subtree — a
-// slew-limited frame runs the pipeline twice), so flicker-policy
-// decisions are attributable to their cost.
+// video.frame span with the frame's total duration and the time spent
+// in each pipeline stage beneath it, summed over the frame's subtree
+// and over the video.range_search span tagged with the same frame (the
+// walk searches every frame's range before it applies any), so
+// flicker-policy decisions are attributable to their cost.
 func printTimeline(out io.Writer, col *obs.Collector) error {
 	children := col.Children()
 	var frames []obs.SpanData
+	searches := map[int][]obs.SpanData{}
 	for _, spans := range children {
 		for _, s := range spans {
-			if s.Name == "video.frame" {
+			switch s.Name {
+			case "video.frame":
 				frames = append(frames, s)
+			case "video.range_search":
+				idx, _ := s.Attrs["frame"].(int)
+				searches[idx] = append(searches[idx], s)
 			}
 		}
 	}
@@ -222,9 +229,14 @@ func printTimeline(out io.Writer, col *obs.Collector) error {
 		}
 		walk(f.ID)
 		idx, _ := f.Attrs["frame"].(int)
+		total := f.Duration
+		for _, s := range searches[idx] {
+			walk(s.ID)
+			total += s.Duration
+		}
 		row := []string{
 			report.I(idx),
-			report.F(float64(f.Duration.Microseconds()), 0),
+			report.F(float64(total.Microseconds()), 0),
 			report.I(runs),
 		}
 		for _, st := range timelineStages {

@@ -53,13 +53,29 @@ func (e *ConflictingOptionsError) Error() string {
 	return fmt.Sprintf("core: DynamicRange %d and ExactSearch are mutually exclusive (a direct range bypasses the per-image search)", e.DynamicRange)
 }
 
-// validateOptions rejects contradictory Options combinations before
+// NonFiniteBudgetError reports a MaxDistortionPercent that is NaN or
+// infinite. No range search can honour such a budget: NaN compares
+// false against every candidate and ±Inf admits or rejects them all,
+// so the search would return an arbitrary end of the range.
+type NonFiniteBudgetError struct {
+	// MaxDistortionPercent is the rejected budget.
+	MaxDistortionPercent float64
+}
+
+func (e *NonFiniteBudgetError) Error() string {
+	return fmt.Sprintf("core: distortion budget %v is not a finite number", e.MaxDistortionPercent)
+}
+
+// validateOptions rejects contradictory or non-finite Options before
 // any pipeline work starts. Kept out of line so the error
 // construction on its cold path is not billed to the //hebs:noalloc
 // entry points that inline it.
 //
 //go:noinline
 func validateOptions(opts Options) error {
+	if math.IsNaN(opts.MaxDistortionPercent) || math.IsInf(opts.MaxDistortionPercent, 0) {
+		return &NonFiniteBudgetError{MaxDistortionPercent: opts.MaxDistortionPercent}
+	}
 	if opts.DynamicRange != 0 && opts.ExactSearch {
 		return &ConflictingOptionsError{DynamicRange: opts.DynamicRange}
 	}
@@ -448,9 +464,11 @@ func (e *Engine) selectRangeZone(ctx context.Context, img *gray.Image, opts Opti
 }
 
 // SelectRange runs step 1 alone — the D_max → R admissible-range
-// decision — without extracting a histogram or planning. The pipelined
-// video scheduler uses it to resolve per-frame target ranges in
-// parallel before the serial β governor pass.
+// decision — without extracting a histogram or planning. The video
+// frame walk uses it to resolve per-frame target ranges before the
+// serial β governor pass. The search is recorded as the range_select
+// stage (span and latency timer) under opts.Trace, or under the span
+// carried by ctx when opts.Trace is nil.
 func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options) (r int, predicted float64, err error) {
 	if img == nil {
 		return 0, 0, errNilImage
@@ -461,9 +479,14 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	sp, ctx := obs.StartSpanCtx(ctx, "engine.range_select")
-	defer sp.End()
-	return e.selectRange(ctx, img, opts)
+	parent := opts.Trace
+	if parent == nil {
+		parent = obs.SpanFromContext(ctx)
+	}
+	_, done := stage(parent, stageRangeSelect)
+	r, predicted, err = e.selectRange(ctx, img, opts)
+	done.end(err)
+	return r, predicted, err
 }
 
 // analyzeStages runs range selection and histogram extraction as

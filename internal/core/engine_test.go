@@ -98,6 +98,47 @@ func TestConflictingOptionsRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteBudgetRejected: a NaN or infinite distortion budget
+// fails every entry point with a typed error, in curve and exact mode
+// alike, instead of returning an arbitrary end of the range.
+func TestNonFiniteBudgetRejected(t *testing.T) {
+	img := testImg(t, "lena")
+	eng := NewEngine(EngineOptions{})
+	ctx := context.Background()
+	for _, budget := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, exact := range []bool{false, true} {
+			opts := Options{MaxDistortionPercent: budget, ExactSearch: exact}
+			for name, run := range map[string]func() error{
+				"Process": func() error {
+					_, err := Process(img, opts)
+					return err
+				},
+				"SelectRange": func() error {
+					_, _, err := eng.SelectRange(ctx, img, opts)
+					return err
+				},
+				"Analyze": func() error {
+					_, err := eng.Analyze(ctx, img, opts)
+					return err
+				},
+				"ProcessBatch": func() error {
+					_, err := eng.ProcessBatch(ctx, []*gray.Image{img}, opts)
+					return err
+				},
+			} {
+				var nonFinite *NonFiniteBudgetError
+				err := run()
+				if !errors.As(err, &nonFinite) {
+					t.Fatalf("%s budget=%v exact=%v: got %v, want NonFiniteBudgetError", name, budget, exact, err)
+				}
+				if math.Float64bits(nonFinite.MaxDistortionPercent) != math.Float64bits(budget) {
+					t.Fatalf("%s: error carries budget %v, want %v", name, nonFinite.MaxDistortionPercent, budget)
+				}
+			}
+		}
+	}
+}
+
 // TestEngineStagesComposeLikeProcess: Analyze → PlanFor → Apply run
 // individually must reproduce Process's transformed frame, and
 // releasing every stage output must drain the pools.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"hebs/internal/driver"
@@ -212,5 +213,50 @@ func TestBatchSpansNestUnderBatch(t *testing.T) {
 	}
 	if runs != 3 {
 		t.Errorf("batch emitted %d run spans, want 3", runs)
+	}
+}
+
+// TestSelectRangeRecordsStage: the standalone range search is the
+// range_select stage — a stage span under opts.Trace (or the span in
+// ctx) and one observation of the stage latency timer per call.
+func TestSelectRangeRecordsStage(t *testing.T) {
+	c := withCollector(t)
+	img, err := sipi.Generate("lena", 48, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineOptions{})
+	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
+	timer := stageLatency[stageRangeSelect]
+	before := timer.Count()
+
+	viaOpts := obs.StartSpan("test.opts")
+	opts.Trace = viaOpts
+	if _, _, err := eng.SelectRange(context.Background(), img, opts); err != nil {
+		t.Fatal(err)
+	}
+	viaOpts.End()
+	viaCtx := obs.StartSpan("test.ctx")
+	opts.Trace = nil
+	if _, _, err := eng.SelectRange(obs.ContextWithSpan(context.Background(), viaCtx), img, opts); err != nil {
+		t.Fatal(err)
+	}
+	viaCtx.End()
+
+	if got := timer.Count() - before; got != 2 {
+		t.Errorf("range_select timer gained %d observations, want 2", got)
+	}
+	parents := map[uint64]string{}
+	for _, s := range c.Spans() {
+		parents[s.ID] = s.Name
+	}
+	var got []string
+	for _, s := range c.Spans() {
+		if s.Name == "stage.range_select" {
+			got = append(got, parents[s.Parent])
+		}
+	}
+	if len(got) != 2 || got[0] != "test.opts" || got[1] != "test.ctx" {
+		t.Errorf("stage.range_select parents = %v, want [test.opts test.ctx]", got)
 	}
 }

@@ -200,6 +200,20 @@ func (d *FrameDelta) binTile(pix []uint8, t int, out *tileBins) {
 	}
 }
 
+// scanTile re-hashes tile t and, when its checksum moved (or the
+// reference is unprimed), marks it dirty and re-bins it into fresh.
+func (d *FrameDelta) scanTile(pix []uint8, t int, primed bool) {
+	x0, y0, x1, y1 := d.tileRect(t)
+	sum := tileSum(pix, d.w, x0, y0, x1, y1)
+	if primed && sum == d.sums[t] {
+		d.dirty[t] = false
+		return
+	}
+	d.dirty[t] = true
+	d.sums[t] = sum
+	d.binTile(pix, t, &d.fresh[t])
+}
+
 // Update observes img as the new reference frame: tiles are re-hashed,
 // changed tiles re-binned, and the global histogram updated by the
 // subtract-then-add identity. The result — exactly OfInto(img, h) bin
@@ -228,27 +242,18 @@ func (d *FrameDelta) UpdateShards(img *gray.Image, h *Histogram, workers int) (c
 	}
 	n := d.tilesX * d.tilesY
 	primed := d.primed
-	scan := func(t int) {
-		x0, y0, x1, y1 := d.tileRect(t)
-		sum := tileSum(img.Pix, d.w, x0, y0, x1, y1)
-		if primed && sum == d.sums[t] {
-			d.dirty[t] = false
-			return
-		}
-		d.dirty[t] = true
-		d.sums[t] = sum
-		d.binTile(img.Pix, t, &d.fresh[t])
-	}
 	if workers > 1 && n >= minDeltaFanoutTiles {
 		// Tiles are disjoint: each worker writes only its tile's slots.
 		parallel.Shard(n, workers, func(_, lo, hi int) {
 			for t := lo; t < hi; t++ {
-				scan(t)
+				d.scanTile(img.Pix, t, primed)
 			}
 		})
 	} else {
+		// A plain loop, not a closure: the serial branch runs per frame
+		// and must not allocate.
 		for t := 0; t < n; t++ {
-			scan(t)
+			d.scanTile(img.Pix, t, primed)
 		}
 	}
 	// Serial merge in tile order: subtract each stale tile histogram,

@@ -234,3 +234,41 @@ func FuzzDeltaHistogram(f *testing.F) {
 		}
 	})
 }
+
+// TestDeltaUpdateNoAlloc: the serial tile scan runs once per video
+// frame, so Update and UpdateShards at one worker must not allocate —
+// neither when every tile changes nor when none does.
+func TestDeltaUpdateNoAlloc(t *testing.T) {
+	a := randomImage(256, 256, 1)
+	b := randomImage(256, 256, 2)
+	d, err := NewFrameDelta(256, 256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Histogram
+	for name, update := range map[string]func(img *gray.Image){
+		"Update": func(img *gray.Image) {
+			if _, _, err := d.Update(img, &h); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"UpdateShards(1)": func(img *gray.Image) {
+			if _, _, err := d.UpdateShards(img, &h, 1); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		frame := 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			// Alternate frames so every tile re-bins, then repeat one
+			// so every tile is skipped.
+			if frame++; frame%3 == 0 {
+				update(b)
+			} else {
+				update(a)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocates %v objects per frame, want 0", name, allocs)
+		}
+	}
+}

@@ -20,44 +20,49 @@ const steadyStateAllocBudget = 23
 
 // TestSteadyStateAllocGuard is the bench guard for the headline
 // steady-state number, run as a test so `go test ./internal/video`
-// catches an allocation regression without a benchmark round-trip. On
-// failure it prints the module's //hebs:noalloc inventory (the
-// `hebsvet -list` rendering): per-frame regressions show up as ~16×
-// jumps and the function that started allocating is one of these —
-// `go run ./cmd/hebsvet -v` names the exact escaping expression.
+// catches an allocation regression without a benchmark round-trip. It
+// measures the plain policy and the same policy with DeltaAnalysis on,
+// both against the one budget. On failure it prints the module's
+// //hebs:noalloc inventory (the `hebsvet -list` rendering): per-frame
+// regressions show up as ~16× jumps and the function that started
+// allocating is one of these — `go run ./cmd/hebsvet -v` names the
+// exact escaping expression.
 func TestSteadyStateAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed guard skipped in -short mode")
 	}
 	seq := steadyClip(t)
-	pol := steadyPolicy()
-	pol.Engine = core.NewEngine(core.EngineOptions{})
 	ctx := context.Background()
-	// Warm the pools and the plan cache outside the measurement.
-	if _, err := ProcessContext(ctx, seq, pol); err != nil {
-		t.Fatal(err)
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ProcessContext(ctx, seq, pol); err != nil {
-				b.Fatal(err)
+	for _, delta := range []bool{false, true} {
+		pol := steadyPolicy()
+		pol.DeltaAnalysis = delta
+		pol.Engine = core.NewEngine(core.EngineOptions{})
+		// Warm the pools and the plan cache outside the measurement.
+		if _, err := ProcessContext(ctx, seq, pol); err != nil {
+			t.Fatal(err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ProcessContext(ctx, seq, pol); err != nil {
+					b.Fatal(err)
+				}
 			}
+		})
+		if allocs := res.AllocsPerOp(); allocs > steadyStateAllocBudget {
+			inv, err := noalloc.Scan("../..")
+			suspects := ""
+			if err != nil {
+				suspects = "(noalloc inventory unavailable: " + err.Error() + ")"
+			} else {
+				var sb strings.Builder
+				inv.WriteList(&sb)
+				suspects = sb.String()
+			}
+			t.Errorf("steady-state clip (DeltaAnalysis=%v) allocates %d objects/op; budget %d (BENCH_pipeline.json video/steady16)\n"+
+				"per-frame leaks show up as ~16x jumps; the //hebs:noalloc inventory below names the hot-path\n"+
+				"functions to re-check with `go run ./cmd/hebsvet -v`:\n%s",
+				delta, allocs, steadyStateAllocBudget, suspects)
 		}
-	})
-	if allocs := res.AllocsPerOp(); allocs > steadyStateAllocBudget {
-		inv, err := noalloc.Scan("../..")
-		suspects := ""
-		if err != nil {
-			suspects = "(noalloc inventory unavailable: " + err.Error() + ")"
-		} else {
-			var sb strings.Builder
-			inv.WriteList(&sb)
-			suspects = sb.String()
-		}
-		t.Errorf("steady-state clip allocates %d objects/op; budget %d (BENCH_pipeline.json video/steady16)\n"+
-			"per-frame leaks show up as ~16x jumps; the //hebs:noalloc inventory below names the hot-path\n"+
-			"functions to re-check with `go run ./cmd/hebsvet -v`:\n%s",
-			allocs, steadyStateAllocBudget, suspects)
 	}
 }

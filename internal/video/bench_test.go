@@ -61,10 +61,10 @@ func BenchmarkEngineVideoSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineVideoSteadyStateParallel is the pipelined-scheduler
+// BenchmarkEngineVideoSteadyStateParallel is the multi-worker
 // counterpart of BenchmarkEngineVideoSteadyState: identical clip,
 // policy and warm shared engine, frames fanned out over GOMAXPROCS
-// workers. The ns/op ratio between the two is the scheduler's
+// workers. The ns/op ratio between the two is the walk's
 // wall-clock speedup (≈1 on a single-CPU host, where the pool
 // degenerates to one worker plus scheduling overhead).
 func BenchmarkEngineVideoSteadyStateParallel(b *testing.B) {
@@ -124,9 +124,9 @@ func BenchmarkEngineVideoDeltaSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineVideoDeltaSteadyStateParallel adds the pipelined
-// scheduler on top of delta analysis: phase A0's sharded tile re-hash
-// plus the two-wave fused apply.
+// BenchmarkEngineVideoDeltaSteadyStateParallel runs the delta clip on
+// GOMAXPROCS workers: phase A0's sharded tile re-hash plus the
+// two-wave fused apply, fanned out.
 func BenchmarkEngineVideoDeltaSteadyStateParallel(b *testing.B) {
 	seq := steadyClip(b)
 	pol := steadyPolicy()

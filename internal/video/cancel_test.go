@@ -3,6 +3,7 @@ package video
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -64,6 +65,53 @@ func TestProcessContextCancelMidClip(t *testing.T) {
 	}
 }
 
+// TestProcessContextCancelInsideSearch cancels from inside the exact
+// range search at one worker (Workers 0): the result is a contiguous
+// prefix of the serial oracle's frames (possibly empty), the error is
+// context.Canceled, and every pooled buffer is back.
+func TestProcessContextCancelInsideSearch(t *testing.T) {
+	seq, err := Pan(base(t), 48, 48, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := Policy{
+		MaxStep: 0.02,
+		Options: core.Options{MaxDistortionPercent: 10, ExactSearch: true, Metric: chart.UQIMetric},
+	}
+	want := serialOracle(t, seq, pol)
+	for _, cancelAt := range []int64{1, 12, 30} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		// The exact search probes the metric ~9 times per frame, so the
+		// cancellation lands inside a search.
+		pol.Options.Metric = func(a, b *gray.Image) (float64, error) {
+			if calls.Add(1) == cancelAt {
+				cancel()
+			}
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			return chart.UQIMetric(a, b)
+		}
+		eng := core.NewEngine(core.EngineOptions{})
+		pol.Engine = eng
+		res, err := ProcessContext(ctx, seq, pol)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at call %d: got %v, want context.Canceled", cancelAt, err)
+		}
+		if res == nil || len(res.Frames) >= len(want.Frames) {
+			t.Fatalf("cancel at call %d: want a strict prefix, got %+v", cancelAt, res)
+		}
+		if k := len(res.Frames); k > 0 && !reflect.DeepEqual(res.Frames, want.Frames[:k]) {
+			t.Fatalf("cancel at call %d: frames %+v are not a prefix of the oracle's %+v", cancelAt, res.Frames, want.Frames)
+		}
+		if inUse := eng.PoolStats().InUse(); inUse != 0 {
+			t.Fatalf("cancel at call %d: pool leak, %d buffers in use", cancelAt, inUse)
+		}
+	}
+}
+
 // TestProcessContextCancelledUpfront: a context cancelled before the
 // first frame yields an empty (but aggregatable) result.
 func TestProcessContextCancelledUpfront(t *testing.T) {
@@ -82,8 +130,9 @@ func TestProcessContextCancelledUpfront(t *testing.T) {
 	}
 }
 
-// TestProcessLegacyMatchesEngine: the pooled engine path must produce
-// the same per-frame numbers as two independent runs of the clip.
+// TestProcessLegacyMatchesEngine: a run on a private engine and two
+// runs through one shared engine (cold, then warm pools and plan
+// cache) all equal the serial oracle.
 func TestProcessLegacyMatchesEngine(t *testing.T) {
 	a, err := sipi.Generate("splash", 48, 48)
 	if err != nil {
@@ -102,9 +151,13 @@ func TestProcessLegacyMatchesEngine(t *testing.T) {
 		ReuseThreshold: 2,
 		Options:        core.Options{MaxDistortionPercent: 10, ExactSearch: true},
 	}
+	want := serialOracle(t, seq, pol)
 	r1, err := Process(seq, pol)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r1, want) {
+		t.Fatalf("private engine: %+v != oracle %+v", r1, want)
 	}
 	shared := pol
 	shared.Engine = core.NewEngine(core.EngineOptions{})
@@ -115,13 +168,8 @@ func TestProcessLegacyMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r1.Frames) != len(r2.Frames) {
-			t.Fatalf("pass %d: frame count %d != %d", pass, len(r2.Frames), len(r1.Frames))
-		}
-		for i := range r1.Frames {
-			if r1.Frames[i] != r2.Frames[i] {
-				t.Fatalf("pass %d frame %d: %+v != %+v", pass, i, r2.Frames[i], r1.Frames[i])
-			}
+		if !reflect.DeepEqual(r2, want) {
+			t.Fatalf("pass %d: %+v != oracle %+v", pass, r2, want)
 		}
 	}
 	if inUse := shared.Engine.PoolStats().InUse(); inUse != 0 {

@@ -11,39 +11,16 @@ import (
 // TestDeltaMatchesFull: enabling DeltaAnalysis must not change a single
 // bit of the Result — every per-frame β, range, distortion and saving,
 // and the clip aggregates — across motion shapes, policy combinations,
-// tile sizes and worker counts (serial walk and pipelined scheduler).
-// This is the PR's contract: the delta path is an optimization, not an
-// approximation.
+// tile sizes and worker counts: every run equals the serial oracle.
+// The delta path is an optimization, not an approximation.
 func TestDeltaMatchesFull(t *testing.T) {
-	policies := map[string]Policy{
-		"slew": {
-			MaxStep: 0.01,
-			Options: core.Options{MaxDistortionPercent: 10, ExactSearch: true},
-		},
-		"slew+cut+reuse": {
-			MaxStep:        0.01,
-			CutThreshold:   0.15,
-			ReuseThreshold: 4,
-			Options:        core.Options{MaxDistortionPercent: 10, ExactSearch: true},
-		},
-		"direct-range": {
-			MaxStep: 0.02,
-			Options: core.Options{DynamicRange: 150},
-		},
-		"no-smoothing": {
-			Options: core.Options{MaxDistortionPercent: 20, ExactSearch: true},
-		},
-	}
 	for seqName, seq := range pipelineFixtures(t) {
-		for polName, pol := range policies {
-			want, err := Process(seq, pol)
-			if err != nil {
-				t.Fatalf("%s/%s full: %v", seqName, polName, err)
-			}
+		for polName, pol := range oraclePolicies() {
+			want := serialOracle(t, seq, pol)
 			// Tile 16 gives 9 tiles on the 48×48 fixtures (partial
 			// re-bins); 0 selects the 64-pixel default (one tile).
 			for _, tile := range []int{0, 16} {
-				for _, workers := range []int{0, 2, 4, -1} {
+				for _, workers := range []int{0, 1, 2, 4, -1} {
 					dpol := pol
 					dpol.DeltaAnalysis = true
 					dpol.TileSize = tile
@@ -53,7 +30,7 @@ func TestDeltaMatchesFull(t *testing.T) {
 						t.Fatalf("%s/%s tile=%d workers=%d: %v", seqName, polName, tile, workers, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s tile=%d workers=%d: delta result differs from full analysis:\n got %+v\nwant %+v",
+						t.Fatalf("%s/%s tile=%d workers=%d: delta result differs from the serial oracle:\n got %+v\nwant %+v",
 							seqName, polName, tile, workers, got, want)
 					}
 				}

@@ -8,9 +8,9 @@ import (
 	"hebs/internal/obs"
 )
 
-// TestProcessFeedsFlightRecorder: both scheduler modes feed one record
-// per frame into an installed flight recorder, with the governor's
-// decisions mirrored in the record fields.
+// TestProcessFeedsFlightRecorder: the walk at one and at four workers
+// feeds one record per frame into an installed flight recorder, with
+// the governor's decisions mirrored in the record fields.
 func TestProcessFeedsFlightRecorder(t *testing.T) {
 	seq := pipelineFixtures(t)["mixed"]
 	pol := Policy{
@@ -53,7 +53,7 @@ func TestProcessFeedsFlightRecorder(t *testing.T) {
 				t.Errorf("workers=%d frame %d: no histogram hash despite ReuseThreshold>0", workers, i)
 			}
 			if workers == 1 && fr.Workers != 1 {
-				t.Errorf("serial frame %d: Workers = %d", i, fr.Workers)
+				t.Errorf("workers=1 frame %d: Workers = %d", i, fr.Workers)
 			}
 			if workers > 1 && fr.Workers < 2 {
 				t.Errorf("workers=%d frame %d: Workers = %d", workers, i, fr.Workers)

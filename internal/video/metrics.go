@@ -26,9 +26,9 @@ var (
 
 	mFrameLatency = obs.NewHistogram("video.frame.seconds", obs.LatencyBuckets())
 
-	// Frames currently inside the Apply/measure stage — under the
-	// pipelined scheduler this reads up to the worker bound; a value
-	// stuck above zero between clips indicates a wedged worker.
+	// Frames currently inside the Apply/measure stage — this reads up
+	// to the walk's worker bound; a value stuck above zero between
+	// clips indicates a wedged worker.
 	gInflight = obs.NewGauge("video.pipeline.inflight_frames")
 
 	gMeanSaving   = obs.NewGauge("video.last_mean_saving_pct")

@@ -10,7 +10,9 @@ import (
 
 // TestProcessEmitsPerFrameSpans verifies the per-frame span timeline:
 // one video.frame child per frame under the video.Process root, each
-// holding its core.Process run, annotated with the policy decision.
+// holding its core.Process run, annotated with the policy decision —
+// and, with the exact search on, every range search attributed to its
+// frame (checkRangeSearchAttribution).
 func TestProcessEmitsPerFrameSpans(t *testing.T) {
 	c := obs.NewCollector()
 	prev := obs.SetSink(c)
@@ -72,6 +74,63 @@ func TestProcessEmitsPerFrameSpans(t *testing.T) {
 	for idx, fs := range frameSpans {
 		if runsByParent[fs.ID] == 0 {
 			t.Errorf("frame %d has no nested core.Process run", idx)
+		}
+	}
+	obs.SetSink(prev)
+	checkRangeSearchAttribution(t, seq)
+}
+
+// checkRangeSearchAttribution runs seq with the exact search on, with
+// and without delta analysis: every range_select stage span must hang
+// under a span tagged with its frame, and the range_select stage timer
+// must gain at least one observation per searched frame. Every frame
+// of seq must move, so that every frame searches.
+func checkRangeSearchAttribution(t *testing.T, seq *Sequence) {
+	t.Helper()
+	timer := obs.NewHistogram("core.stage.range_select.seconds", obs.LatencyBuckets())
+	for _, delta := range []bool{false, true} {
+		for _, workers := range []int{0, 2} {
+			c := obs.NewCollector()
+			prev := obs.SetSink(c)
+			before := timer.Count()
+			_, err := Process(seq, Policy{
+				MaxStep:       0.02,
+				DeltaAnalysis: delta,
+				Workers:       workers,
+				Options:       core.Options{MaxDistortionPercent: 10, ExactSearch: true},
+			})
+			obs.SetSink(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := timer.Count() - before; got < int64(len(seq.Frames)) {
+				t.Errorf("delta=%v workers=%d: range_select timer gained %d observations, want >= %d",
+					delta, workers, got, len(seq.Frames))
+			}
+			byID := map[uint64]obs.SpanData{}
+			for _, s := range c.Spans() {
+				byID[s.ID] = s
+			}
+			searched := map[int]bool{}
+			for _, s := range c.Spans() {
+				if s.Name != "stage.range_select" {
+					continue
+				}
+				frame, tagged := -1, false
+				for p, ok := byID[s.Parent]; ok; p, ok = byID[p.Parent] {
+					if frame, tagged = p.Attrs["frame"].(int); tagged {
+						break
+					}
+				}
+				if !tagged {
+					t.Fatalf("delta=%v workers=%d: range_select span %d has no frame-tagged ancestor", delta, workers, s.ID)
+				}
+				searched[frame] = true
+			}
+			if len(searched) != len(seq.Frames) {
+				t.Errorf("delta=%v workers=%d: range_select spans cover frames %v, want all %d",
+					delta, workers, searched, len(seq.Frames))
+			}
 		}
 	}
 }

@@ -1,5 +1,7 @@
-// The pipelined video scheduler. The serial frame walk interleaves
-// three kinds of work with very different dependency structure:
+// The global-lamp frame walk. Every clip that is not handed to the
+// zoned walk runs here, at every Workers setting. A HEBS video walk
+// interleaves three kinds of work with very different dependency
+// structure:
 //
 //   - Per-frame statistics (histogram) and the admissible-range search
 //     — pure functions of the frame, embarrassingly parallel.
@@ -10,16 +12,16 @@
 //   - Apply + the distortion/power measurements at the resolved range
 //     — again pure per-frame functions once the range is fixed.
 //
-// processPipelined decomposes the walk along exactly those lines: fan
-// out the statistics, run the governor serially over the collected
-// numbers (O(256) folds and a handful of float ops per frame — microseconds
-// for any clip), then fan the Apply/measure stage back out. Every
-// number the governor consumes is computed by the same code path the
-// serial walk uses (the range search probes the same candidates, β is
-// power.BetaForRange of the same range), so the outputs — frames, β
-// sequences, driver programs, aggregates — are byte-identical to
-// serial mode. That equality is asserted by TestPipelinedMatchesSerial
-// across pan/fade/cut fixtures.
+// processClip runs the walk as phases along exactly those lines: fan
+// out the statistics and searches, run the governor serially over the
+// collected numbers (O(256) folds and a handful of float ops per frame
+// — microseconds for any clip), then fan the Apply/measure stage back
+// out. With one worker every fan-out runs inline on the calling
+// goroutine in frame order, so the serial case is this code path, not
+// a copy of it. The outputs — frames, β sequences, driver programs,
+// aggregates — are byte-identical at every worker count and equal to
+// the paper's plain per-frame loop, which the package tests keep as a
+// serial oracle (TestPipelinedMatchesSerial, TestDeltaMatchesFull).
 package video
 
 import (
@@ -39,8 +41,8 @@ import (
 	"hebs/internal/transform"
 )
 
-// policyWorkers resolves Policy.Workers (0/1 serial, n > 1 bounded,
-// negative GOMAXPROCS) against the clip length.
+// policyWorkers resolves Policy.Workers (0/1 one worker, n > 1
+// bounded, negative GOMAXPROCS) against the clip length.
 func policyWorkers(n, frames int) int {
 	if n == 0 {
 		return 1
@@ -52,9 +54,7 @@ func policyWorkers(n, frames int) int {
 // (phase A), the reuse flag (B), the selected range (C), the
 // governor's decision record (D) — what the frame's own HEBS optimum
 // was, which range Apply must run at after slew limiting, which policy
-// events fired — and the frame result (E). One pooled slice holds the
-// whole clip so a steady-state pipelined run allocates a handful of
-// objects per clip, not per frame.
+// events fired — and the frame result (E).
 type frameState struct {
 	hist       histogram.Histogram
 	reuse      bool
@@ -79,35 +79,47 @@ type frameState struct {
 	done      bool
 }
 
+// clipState is the pooled scratch of one walk: a frameState per frame
+// and one index list, used first for the frames that search (phase C)
+// and then for the apply order (phase E). A steady-state clip reuses
+// all of it and allocates a handful of objects per clip, not per
+// frame.
+type clipState struct {
+	frames []frameState
+	idx    []int
+}
+
 // minHistFanoutPixels is the per-frame work floor for fanning out the
 // statistics phase (matches the sharded kernels' 32K-pixel gate).
 const minHistFanoutPixels = 1 << 15
 
-// statePool recycles clip state slices across pipelined runs.
-var statePool = sync.Pool{New: func() any { return new([]frameState) }}
+// statePool recycles clip state across walks.
+var statePool = sync.Pool{New: func() any { return new(clipState) }}
 
-// getClipState draws a clip-sized frameState slice from the pool,
-// growing it only when a longer clip arrives.
+// getClipState draws clip state for n frames from the pool, growing it
+// only when a longer clip arrives.
 //
 //hebs:noalloc
-func getClipState(n int) *[]frameState {
-	p := statePool.Get().(*[]frameState)
-	if cap(*p) < n {
+func getClipState(n int) *clipState {
+	cs := statePool.Get().(*clipState)
+	if cap(cs.frames) < n {
 		//hebs:noalloc-allow clip-state growth on first longer clip; amortized to zero in steady state
-		*p = make([]frameState, n)
+		cs.frames = make([]frameState, n)
+		//hebs:noalloc-allow index-list growth on first longer clip; amortized to zero in steady state
+		cs.idx = make([]int, 0, n)
 	}
-	*p = (*p)[:n]
-	for i := range *p {
-		(*p)[i] = frameState{}
+	cs.frames = cs.frames[:n]
+	for i := range cs.frames {
+		cs.frames[i] = frameState{}
 	}
-	return p
+	return cs
 }
 
-// processPipelined is ProcessContext's parallel scheduler; workers is
-// the resolved pool bound (> 1). Cancellation semantics mirror the
-// serial walk: a cancellation mid-clip returns the aggregated
-// contiguous prefix of completed frames together with ctx's error.
-func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers int) (*Result, error) {
+// processClip is the walk behind ProcessContext for the global lamp.
+// A cancellation mid-clip returns the aggregated contiguous prefix of
+// frames whose Apply/measure phase completed (empty when it strikes
+// before phase E) together with ctx's error.
+func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error) {
 	eng := pol.Engine
 	if eng == nil {
 		eng = core.NewEngine(core.EngineOptions{Workers: pol.Workers})
@@ -116,15 +128,20 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	if pol.Options.Subsystem != nil {
 		sub = *pol.Options.Subsystem
 	}
+	n := len(seq.Frames)
+	workers := policyWorkers(pol.Workers, n)
+	// The phase closures capture these instead of pol: a Policy is too
+	// large to capture by value, and capturing it by reference would
+	// move it to the heap on every clip.
+	base, offset := pol.Options, pol.frameOffset
 	sp := pol.Options.Trace.Child("video.Process")
 	defer sp.End()
-	n := len(seq.Frames)
 	sp.SetInt("frames", n)
 	sp.SetInt("workers", workers)
 	mSequences.Inc()
 	res := &Result{}
 	// finish aggregates whatever prefix completed and reports clipErr
-	// (nil for a full run) — the serial walk's epilogue.
+	// (nil for a full run).
 	finish := func(clipErr error) (*Result, error) {
 		res.aggregate()
 		if clipErr != nil {
@@ -133,9 +150,9 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		return res, nil
 	}
 
-	stp := getClipState(n)
-	defer statePool.Put(stp)
-	st := *stp
+	cs := getClipState(n)
+	defer statePool.Put(cs)
+	st := cs.frames
 
 	// Phase A0 — incremental analysis (DeltaAnalysis only). The tile
 	// fold is a serial chain (each frame diffs against its predecessor)
@@ -162,7 +179,7 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		for i := range st {
 			changed, total, err := ds.delta.UpdateShards(seq.Frames[i], &st[i].hist, workers)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("video: frame %d: %w", i, err)
 			}
 			mTilesRebinned.Add(int64(changed))
 			st[i].tileRatio = float64(changed) / float64(total)
@@ -171,10 +188,9 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	}
 
 	// Phase A+B — reuse decisions. Frame histograms are independent
-	// (fan out); the estimator fold is stream-ordered (serial). The
-	// serial walk's reuse condition `est.Ready() && prevRange > 0`
-	// holds exactly for i >= 1 on any clip that completes, which is
-	// the only case output equality applies to.
+	// (fan out); the estimator fold is stream-ordered (serial). Frame 0
+	// never reuses: the estimator is empty until it has observed a
+	// frame.
 	if pol.ReuseThreshold > 0 {
 		est, err := histogram.NewEstimator(0.5)
 		if err != nil {
@@ -240,7 +256,7 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 			}
 		}
 	}
-	search := make([]int, 0, n)
+	search := cs.idx[:0]
 	for i := range st {
 		if !st[i].reuse && !st[i].replay {
 			search = append(search, i)
@@ -248,7 +264,14 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	}
 	if err := parallel.ForEach(ctx, len(search), workers, func(k int) error {
 		i := search[k]
-		r, _, err := eng.SelectRange(ctx, seq.Frames[i], pol.Options)
+		// The search runs before the frame's Apply span opens; its own
+		// span, tagged with the frame, keeps the time attributed.
+		ssp := sp.Child("video.range_search")
+		ssp.SetInt("frame", offset+i)
+		opts := base
+		opts.Trace = ssp
+		r, _, err := eng.SelectRange(ctx, seq.Frames[i], opts)
+		ssp.End()
 		if err != nil {
 			return fmt.Errorf("video: frame %d: %w", i, err)
 		}
@@ -262,10 +285,9 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	}
 
 	// Phase D — the serial governor: resolve inherited ranges, then
-	// run the fast-attack/slow-decay β track with cut snapping. The
-	// float operations replicate the serial walk's exactly, including
-	// the re-quantization of a slew-limited β through RangeForBeta —
-	// the applied β must sit on the driver's range grid.
+	// run the fast-attack/slow-decay β track with cut snapping,
+	// including the re-quantization of a slew-limited β through
+	// RangeForBeta — the applied β must sit on the driver's range grid.
 	prevBeta := math.NaN()
 	tr := 0
 	// Delta bookkeeping (DeltaAnalysis only): ownRng is the threaded
@@ -294,6 +316,9 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 			delta := target - prevBeta
 			isCut := pol.CutThreshold > 0 && math.Abs(delta) > pol.CutThreshold
 			cutSnap = isCut
+			// Brightening (delta >= 0) is immediate: staying below the
+			// frame's target would exceed its distortion budget. Dimming
+			// is slew-limited unless a scene cut masks it.
 			if delta < -pol.MaxStep && !isCut {
 				applied = prevBeta - pol.MaxStep
 			}
@@ -338,7 +363,6 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 				head = i
 			}
 		}
-		// Metric parity with the serial walk's per-frame counters.
 		if st[i].reuse {
 			mRangeReuse.Inc()
 		}
@@ -352,6 +376,9 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 			invariant.AssertBeta("video: target β", st[i].target)
 			invariant.AssertBeta("video: applied β", finalBeta)
 			if pol.MaxStep > 0 && !math.IsNaN(prevBeta) && !cutSnap {
+				// The track may only dim by MaxStep per frame (plus the
+				// 1/(G−1) quantization of mapping β back through
+				// RangeForBeta's floor).
 				invariant.Assert(prevBeta-finalBeta <= pol.MaxStep+1.0/float64(transform.Levels-1)+1e-9,
 					"video: dimming slew %v exceeds MaxStep %v", prevBeta-finalBeta, pol.MaxStep)
 			}
@@ -359,15 +386,32 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		prevBeta = finalBeta
 	}
 
-	// Phase E — Apply and measure at the resolved ranges, fanned out.
+	// Phase E — Apply and measure at the resolved ranges, fanned out in
+	// two waves over the apply order: the frames that measure, in frame
+	// order, then the fused frames, which copy measurements from their
+	// identity run's head and so must wait for the first wave (without
+	// delta analysis no frame fuses and the second wave is empty).
 	// Results land in per-frame slots; a cancellation keeps the
-	// contiguous completed prefix, matching the serial walk's partial
-	// timeline.
-	applyFrame := func(i int) error {
+	// contiguous completed prefix.
+	order := cs.idx[:0]
+	for i := range st {
+		if !st[i].fused {
+			order = append(order, i)
+		}
+	}
+	nFull := len(order)
+	for i := range st {
+		if st[i].fused {
+			order = append(order, i)
+		}
+	}
+	hashHist := pol.ReuseThreshold > 0 || ds != nil // phase A filled st[i].hist
+	applyFrame := func(k int) error {
+		i := order[k]
 		start := time.Now()
 		fsp := sp.Child("video.frame")
 		defer fsp.End()
-		fsp.SetInt("frame", pol.frameOffset+i)
+		fsp.SetInt("frame", offset+i)
 		defer func() { mFrameLatency.ObserveDuration(time.Since(start)) }()
 		mFrames.Inc()
 		gInflight.Add(1)
@@ -384,7 +428,7 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		if ds != nil {
 			fsp.SetFloat("tile_change_ratio", st[i].tileRatio)
 		}
-		opts := pol.Options
+		opts := base
 		opts.Trace = fsp
 		opts.DynamicRange = st[i].applyRange
 		opts.MaxDistortionPercent = 0
@@ -447,11 +491,11 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		fsp.SetFloat("saving_pct", fr.SavingPercent)
 		if rec := obs.Flight(); rec != nil {
 			var hh uint64
-			if pol.ReuseThreshold > 0 || ds != nil {
-				hh = flightHistHash(&st[i].hist) // phase A filled it
+			if hashHist {
+				hh = flightHistHash(&st[i].hist)
 			}
 			rec.Record(obs.FrameRecord{
-				Frame:           pol.frameOffset + i,
+				Frame:           offset + i,
 				TargetBeta:      fr.TargetBeta,
 				Beta:            fr.Beta,
 				Range:           fr.Range,
@@ -470,30 +514,11 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		st[i].done = true
 		return nil
 	}
-	var applyErr error
-	if ds == nil {
-		applyErr = parallel.ForEach(ctx, n, workers, applyFrame)
-	} else {
-		// Fused frames copy measurements from their identity run's head,
-		// so the full-measure wave must land first; both waves fan out
-		// freely within themselves.
-		full := make([]int, 0, n)
-		fast := make([]int, 0, n)
-		for i := range st {
-			if st[i].fused {
-				fast = append(fast, i)
-			} else {
-				full = append(full, i)
-			}
-		}
-		applyErr = parallel.ForEach(ctx, len(full), workers, func(k int) error {
-			return applyFrame(full[k])
+	applyErr := parallel.ForEach(ctx, nFull, workers, applyFrame)
+	if applyErr == nil && nFull < n {
+		applyErr = parallel.ForEach(ctx, n-nFull, workers, func(k int) error {
+			return applyFrame(nFull + k)
 		})
-		if applyErr == nil && len(fast) > 0 {
-			applyErr = parallel.ForEach(ctx, len(fast), workers, func(k int) error {
-				return applyFrame(fast[k])
-			})
-		}
 	}
 	if applyErr != nil {
 		if cerr := ctx.Err(); cerr != nil && errors.Is(applyErr, cerr) {

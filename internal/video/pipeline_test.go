@@ -55,12 +55,11 @@ func pipelineFixtures(t *testing.T) map[string]*Sequence {
 	}
 }
 
-// TestPipelinedMatchesSerial: the parallel scheduler's Result — every
-// per-frame β, range, distortion, saving, and the clip aggregates —
-// is bit-identical to the serial walk, across motion shapes, policy
-// combinations and worker counts.
-func TestPipelinedMatchesSerial(t *testing.T) {
-	policies := map[string]Policy{
+// oraclePolicies are the policy shapes the oracle-backed suites run:
+// slew limiting, slew with cut snapping and range reuse, a direct
+// range, and no smoothing at all.
+func oraclePolicies() map[string]Policy {
+	return map[string]Policy{
 		"slew": {
 			MaxStep: 0.01,
 			Options: core.Options{MaxDistortionPercent: 10, ExactSearch: true},
@@ -79,13 +78,17 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 			Options: core.Options{MaxDistortionPercent: 20, ExactSearch: true},
 		},
 	}
+}
+
+// TestPipelinedMatchesSerial: the frame walk's Result — every
+// per-frame β, range, distortion, saving, and the clip aggregates —
+// is bit-identical to the serial oracle, across motion shapes, policy
+// combinations and worker counts.
+func TestPipelinedMatchesSerial(t *testing.T) {
 	for seqName, seq := range pipelineFixtures(t) {
-		for polName, pol := range policies {
-			want, err := Process(seq, pol)
-			if err != nil {
-				t.Fatalf("%s/%s serial: %v", seqName, polName, err)
-			}
-			for _, workers := range []int{2, 3, 8, -1} {
+		for polName, pol := range oraclePolicies() {
+			want := serialOracle(t, seq, pol)
+			for _, workers := range []int{0, 1, 2, 3, 4, 8, -1} {
 				ppol := pol
 				ppol.Workers = workers
 				got, err := Process(seq, ppol)
@@ -93,7 +96,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 					t.Fatalf("%s/%s workers=%d: %v", seqName, polName, workers, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s workers=%d: pipelined result differs from serial:\n got %+v\nwant %+v",
+					t.Fatalf("%s/%s workers=%d: result differs from the serial oracle:\n got %+v\nwant %+v",
 						seqName, polName, workers, got, want)
 				}
 			}
@@ -101,9 +104,10 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPipelinedSharedEngineMatchesSerial: running both modes through
-// one shared engine (warm pools, plan cache, reconstruction cache)
-// preserves the equality and leaks no pooled buffers.
+// TestPipelinedSharedEngineMatchesSerial: running several worker
+// counts through one shared engine (warm pools, plan cache,
+// reconstruction cache) preserves the equality with the serial oracle
+// and leaks no pooled buffers.
 func TestPipelinedSharedEngineMatchesSerial(t *testing.T) {
 	seq, err := Pan(base(t), 48, 48, 10, 5)
 	if err != nil {
@@ -111,18 +115,17 @@ func TestPipelinedSharedEngineMatchesSerial(t *testing.T) {
 	}
 	eng := core.NewEngine(core.EngineOptions{})
 	pol := steadyPolicy()
+	want := serialOracle(t, seq, pol)
 	pol.Engine = eng
-	want, err := Process(seq, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol.Workers = 4
-	got, err := Process(seq, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("shared-engine pipelined result differs:\n got %+v\nwant %+v", got, want)
+	for _, workers := range []int{0, 4, 1} {
+		pol.Workers = workers
+		got, err := Process(seq, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: shared-engine result differs:\n got %+v\nwant %+v", workers, got, want)
+		}
 	}
 	if inUse := eng.PoolStats().InUse(); inUse != 0 {
 		t.Fatalf("pool leak: %d buffers in use after both modes", inUse)
@@ -130,7 +133,9 @@ func TestPipelinedSharedEngineMatchesSerial(t *testing.T) {
 }
 
 // TestPipelinedCutDetectionMatchesSerial: the scene-cut wrapper
-// carries Workers into each scene-local run.
+// carries Workers into each scene-local run, matches the serial oracle
+// run scene by scene, and publishes clip gauges that cover the whole
+// clip rather than its last scene.
 func TestPipelinedCutDetectionMatchesSerial(t *testing.T) {
 	fixtures := pipelineFixtures(t)
 	seq := fixtures["mixed"]
@@ -139,17 +144,22 @@ func TestPipelinedCutDetectionMatchesSerial(t *testing.T) {
 		ReuseThreshold: 4,
 		Options:        core.Options{MaxDistortionPercent: 10, ExactSearch: true},
 	}
-	want, err := ProcessWithCutDetection(seq, pol, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol.Workers = 4
-	got, err := ProcessWithCutDetection(seq, pol, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pipelined cut-detection result differs:\n got %+v\nwant %+v", got, want)
+	want := serialOracleCuts(t, seq, pol, 8)
+	for _, workers := range []int{0, 1, 4} {
+		pol.Workers = workers
+		got, err := ProcessWithCutDetection(seq, pol, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: cut-detection result differs:\n got %+v\nwant %+v", workers, got, want)
+		}
+		if gMeanSaving.Value() != got.MeanSaving || //hebslint:allow floateq the gauge is set from the same float
+			gMeanAbsDelta.Value() != got.MeanAbsDeltaBeta || //hebslint:allow floateq the gauge is set from the same float
+			gMaxAbsDelta.Value() != got.MaxAbsDeltaBeta { //hebslint:allow floateq the gauge is set from the same float
+			t.Fatalf("workers=%d: clip gauges (%v, %v, %v) do not match the whole-clip aggregates %+v",
+				workers, gMeanSaving.Value(), gMeanAbsDelta.Value(), gMaxAbsDelta.Value(), got)
+		}
 	}
 }
 
@@ -205,7 +215,7 @@ func TestPipelinedCancellation(t *testing.T) {
 }
 
 // TestPolicyWorkersResolution pins the Workers convention: 0 and 1
-// are serial, n > 1 bounded by the clip, negative all CPUs.
+// are one worker, n > 1 bounded by the clip, negative all CPUs.
 func TestPolicyWorkersResolution(t *testing.T) {
 	if w := policyWorkers(0, 16); w != 1 {
 		t.Errorf("policyWorkers(0) = %d, want 1", w)

@@ -212,28 +212,8 @@ func ProcessWithCutDetectionContext(ctx context.Context, seq *Sequence, pol Poli
 			return nil, err
 		}
 	}
-	// Aggregate like Process (over the completed prefix if cancelled).
-	var sumSave, sumDelta, maxDelta float64
-	for i, f := range res.Frames {
-		sumSave += f.SavingPercent
-		if i > 0 {
-			d := f.Beta - res.Frames[i-1].Beta
-			if d < 0 {
-				d = -d
-			}
-			sumDelta += d
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-	}
-	if len(res.Frames) > 0 {
-		res.MeanSaving = sumSave / float64(len(res.Frames))
-	}
-	if len(res.Frames) > 1 {
-		res.MeanAbsDeltaBeta = sumDelta / float64(len(res.Frames)-1)
-	}
-	res.MaxAbsDeltaBeta = maxDelta
+	// Aggregate over the whole clip (the completed prefix if cancelled).
+	res.aggregate()
 	if clipErr != nil {
 		return res, clipErr
 	}

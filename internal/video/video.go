@@ -13,16 +13,10 @@ import (
 	"fmt"
 	"image"
 	"math"
-	"time"
 
 	"hebs/internal/backlight"
 	"hebs/internal/core"
 	"hebs/internal/gray"
-	"hebs/internal/histogram"
-	"hebs/internal/invariant"
-	"hebs/internal/obs"
-	"hebs/internal/power"
-	"hebs/internal/transform"
 )
 
 // Sequence is an ordered list of equally-sized frames.
@@ -157,13 +151,15 @@ type Policy struct {
 	// a private engine per Process call (pooling still amortizes
 	// across the clip's frames).
 	Engine *core.Engine
-	// Workers selects the pipelined parallel scheduler: 0 or 1 (the
-	// default) walks frames serially, n > 1 runs the per-frame
-	// Analyze/Plan/Apply work on up to n goroutines with the
-	// order-dependent β-slew/cut governor kept as a cheap serial pass,
-	// and a negative value selects GOMAXPROCS. Outputs — frames, β
-	// sequences, driver programs — are byte-identical at every
-	// setting; see DESIGN.md "Parallel execution".
+	// Workers bounds the goroutines of the frame walk's parallel
+	// phases — the per-frame statistics and range searches, and
+	// Apply/measure — around the order-dependent β-slew/cut governor,
+	// which always runs as a cheap serial pass. 0 or 1 (the default)
+	// runs every phase inline on the calling goroutine, n > 1 uses up
+	// to n goroutines, and a negative value selects GOMAXPROCS. The
+	// walk is the same at every setting, and so are its outputs —
+	// frames, β sequences, driver programs; see DESIGN.md "Parallel
+	// execution".
 	Workers int
 	// frameOffset shifts the frame indices reported on observability
 	// spans; ProcessWithCutDetection sets it so scene-local runs still
@@ -213,10 +209,14 @@ func Process(seq *Sequence, pol Policy) (*Result, error) {
 	return ProcessContext(context.Background(), seq, pol)
 }
 
-// ProcessContext is Process with cooperative cancellation: the context
-// is checked before each frame (and inside the pipeline stages), and a
-// cancellation mid-clip returns the frames completed so far — already
-// aggregated — together with ctx's error, so a partial timeline can
+// ProcessContext is Process with cooperative cancellation. Every
+// global-lamp clip runs the one phased walk (pipeline.go) at every
+// Workers setting: range searches, then the serial β governor, then
+// Apply and the measurements. The context is checked before each
+// frame of each phase and inside the engine stages. A cancellation
+// mid-clip returns the contiguous prefix of frames that finished
+// Apply — empty when it strikes during the searches — already
+// aggregated, together with ctx's error, so a partial timeline can
 // still be reported. Pipeline frame buffers are drawn from (and
 // returned to) the policy's engine, so a steady-state clip allocates
 // almost nothing per frame.
@@ -224,8 +224,8 @@ func ProcessContext(ctx context.Context, seq *Sequence, pol Policy) (*Result, er
 	if seq == nil || len(seq.Frames) == 0 {
 		return nil, errors.New("video: empty sequence")
 	}
-	if pol.MaxStep < 0 || pol.CutThreshold < 0 || pol.ReuseThreshold < 0 || pol.TileSize < 0 {
-		return nil, fmt.Errorf("video: negative policy parameters %+v", pol)
+	if err := validatePolicy(pol); err != nil {
+		return nil, err
 	}
 	if pol.Backend != nil {
 		if c, ok := pol.Backend.(*backlight.CCFL); ok {
@@ -240,405 +240,46 @@ func ProcessContext(ctx context.Context, seq *Sequence, pol Policy) (*Result, er
 			return processZonedClip(ctx, seq, pol)
 		}
 	}
-	if len(seq.Frames) > 1 {
-		if w := policyWorkers(pol.Workers, len(seq.Frames)); w > 1 {
-			return processPipelined(ctx, seq, pol, w)
+	return processClip(ctx, seq, pol)
+}
+
+// PolicyError reports a temporal-policy parameter ProcessContext
+// cannot serve: a negative, NaN or infinite threshold, or a negative
+// tile size. A NaN threshold would otherwise compare false everywhere
+// and silently disable its feature.
+type PolicyError struct {
+	// Field names the rejected Policy field.
+	Field string
+	// Value is its value.
+	Value float64
+}
+
+func (e *PolicyError) Error() string {
+	return fmt.Sprintf("video: policy %s = %v, want a finite number >= 0", e.Field, e.Value)
+}
+
+// validatePolicy rejects the parameters PolicyError describes.
+func validatePolicy(pol Policy) error {
+	for _, p := range [...]struct {
+		field string
+		v     float64
+	}{
+		{"MaxStep", pol.MaxStep},
+		{"CutThreshold", pol.CutThreshold},
+		{"ReuseThreshold", pol.ReuseThreshold},
+		{"TileSize", float64(pol.TileSize)},
+	} {
+		if !(p.v >= 0) || math.IsInf(p.v, 1) {
+			return &PolicyError{Field: p.field, Value: p.v}
 		}
 	}
-	eng := pol.Engine
-	if eng == nil {
-		eng = core.NewEngine(core.EngineOptions{})
-	}
-	sub := power.DefaultSubsystem
-	if pol.Options.Subsystem != nil {
-		sub = *pol.Options.Subsystem
-	}
-	sp := pol.Options.Trace.Child("video.Process")
-	defer sp.End()
-	sp.SetInt("frames", len(seq.Frames))
-	mSequences.Inc()
-	res := &Result{}
-	prevBeta := math.NaN()
-	prevRange := 0
-	var est *histogram.Estimator
-	var frameHist histogram.Histogram // reused across frames (estimator copies)
-	if pol.ReuseThreshold > 0 {
-		var err error
-		est, err = histogram.NewEstimator(0.5)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var ds *deltaState
-	var dsOwnRange int
-	var dsOwnValid bool
-	var dsMeas deltaMeas
-	if pol.DeltaAnalysis {
-		d, err := acquireDelta(seq.Frames[0].W, seq.Frames[0].H, pol.TileSize, pol.Options)
-		if err != nil {
-			return nil, err
-		}
-		ds = d
-		defer releaseDelta(ds)
-		// Work on captured copies and invalidate the pooled memoizations
-		// until a frame completes cleanly: an error between the tile
-		// update and the measurement would otherwise leave stale range /
-		// measurement records paired with a newer pixel reference.
-		dsOwnRange, dsOwnValid, dsMeas = ds.ownRange, ds.ownValid, ds.meas
-		ds.ownValid = false
-		ds.meas.valid = false
-	}
-	processFrame := func(i int, frame *gray.Image) (FrameResult, error) {
-		start := time.Now()
-		fsp := sp.Child("video.frame")
-		defer fsp.End()
-		fsp.SetInt("frame", pol.frameOffset+i)
-		defer func() { mFrameLatency.ObserveDuration(time.Since(start)) }()
-		mFrames.Inc()
-		gInflight.Add(1)
-		defer gInflight.Add(-1)
-		reused := false
-		opts := pol.Options
-		opts.Trace = fsp // attribute the pipeline run to this frame
-		if est != nil {
-			h := &frameHist
-			histogram.OfInto(frame, h)
-			if est.Ready() && prevRange > 0 {
-				d, err := est.Distance(h)
-				if err != nil {
-					return FrameResult{}, err
-				}
-				if d < pol.ReuseThreshold {
-					// Static scene: skip the range search, keep the
-					// previous admissible range (which makes the
-					// per-image exact search moot as well).
-					opts.DynamicRange = prevRange
-					opts.MaxDistortionPercent = 0
-					opts.ExactSearch = false
-					fsp.SetBool("range_reused", true)
-					reused = true
-					mRangeReuse.Inc()
-				}
-			}
-			if err := est.Observe(h); err != nil {
-				return FrameResult{}, err
-			}
-		}
-		r, err := eng.Process(ctx, frame, opts)
-		if err != nil {
-			return FrameResult{}, fmt.Errorf("video: frame %d: %w", i, err)
-		}
-		prevRange = r.Range
-		target := r.Beta
-		applied := target
-		cutSnap := false
-		if !math.IsNaN(prevBeta) && pol.MaxStep > 0 {
-			delta := target - prevBeta
-			isCut := pol.CutThreshold > 0 && math.Abs(delta) > pol.CutThreshold
-			cutSnap = isCut
-			// Brightening (delta >= 0) is immediate: staying below the
-			// frame's target would exceed its distortion budget. Dimming
-			// is slew-limited unless a scene cut masks it.
-			if delta < -pol.MaxStep && !isCut {
-				applied = prevBeta - pol.MaxStep
-			}
-			if isCut {
-				fsp.SetBool("cut_snap", true)
-				mCutSnaps.Inc()
-			}
-		}
-		fr := FrameResult{TargetBeta: target, Beta: applied}
-		slewed := false
-		//hebslint:allow floateq applied is assigned from target unless slew-limited
-		if applied != target {
-			// Re-run the pipeline at the applied range so the image is
-			// transformed consistently with the actual backlight.
-			fsp.SetBool("slew_limited", true)
-			slewed = true
-			mSlewLimited.Inc()
-			rng, err := power.RangeForBeta(applied, transform.Levels)
-			if err != nil {
-				r.Release()
-				return FrameResult{}, err
-			}
-			opts := pol.Options
-			opts.Trace = fsp
-			opts.DynamicRange = rng
-			opts.MaxDistortionPercent = 0
-			opts.ExactSearch = false
-			r.Release()
-			r, err = eng.Process(ctx, frame, opts)
-			if err != nil {
-				return FrameResult{}, fmt.Errorf("video: frame %d (smoothed): %w", i, err)
-			}
-		}
-		fr.Range = r.Range
-		fr.Beta = r.Beta
-		fr.Distortion = r.AchievedDistortion
-		planCached := r.PlanCached
-		saving, err := sub.SavingPercent(frame, r.Transformed, r.Beta)
-		r.Release()
-		if err != nil {
-			return FrameResult{}, err
-		}
-		fr.SavingPercent = saving
-		if rec := obs.Flight(); rec != nil {
-			var hh uint64
-			if est != nil {
-				hh = flightHistHash(&frameHist)
-			}
-			rec.Record(obs.FrameRecord{
-				Frame:       pol.frameOffset + i,
-				TargetBeta:  fr.TargetBeta,
-				Beta:        fr.Beta,
-				Range:       fr.Range,
-				HistHash:    hh,
-				PlanCached:  planCached,
-				RangeReused: reused,
-				CutSnap:     cutSnap,
-				SlewLimited: slewed,
-				Workers:     1,
-				Seconds:     time.Since(start).Seconds(),
-			})
-		}
-		if invariant.Enabled {
-			invariant.AssertBeta("video: target β", fr.TargetBeta)
-			invariant.AssertBeta("video: applied β", fr.Beta)
-			if pol.MaxStep > 0 && !math.IsNaN(prevBeta) && !cutSnap {
-				// The fast-attack/slow-decay track may only dim by MaxStep
-				// per frame (plus the 1/(G−1) quantization of mapping β
-				// back through RangeForBeta's floor).
-				invariant.Assert(prevBeta-fr.Beta <= pol.MaxStep+1.0/float64(transform.Levels-1)+1e-9,
-					"video: dimming slew %v exceeds MaxStep %v", prevBeta-fr.Beta, pol.MaxStep)
-			}
-		}
-		fsp.SetFloat("target_beta", fr.TargetBeta)
-		fsp.SetFloat("applied_beta", fr.Beta)
-		fsp.SetInt("range", fr.Range)
-		fsp.SetFloat("saving_pct", fr.SavingPercent)
-		return fr, nil
-	}
-	// processFrameDelta is the incremental-analysis variant of the walk:
-	// the per-frame histogram is maintained by re-binning only changed
-	// tiles, an unchanged frame replays its memoized own-range decision
-	// instead of searching, and an unchanged frame at an unchanged
-	// operating point skips measurement entirely (fused fast path).
-	// Every decision replays a deterministic computation on certified
-	// identical pixels, so the FrameResults are byte-identical to
-	// processFrame's.
-	processFrameDelta := func(i int, frame *gray.Image) (FrameResult, error) {
-		start := time.Now()
-		fsp := sp.Child("video.frame")
-		defer fsp.End()
-		fsp.SetInt("frame", pol.frameOffset+i)
-		defer func() { mFrameLatency.ObserveDuration(time.Since(start)) }()
-		mFrames.Inc()
-		gInflight.Add(1)
-		defer gInflight.Add(-1)
-		changed, total, err := ds.delta.Update(frame, &frameHist)
-		if err != nil {
-			return FrameResult{}, fmt.Errorf("video: frame %d: %w", i, err)
-		}
-		mTilesRebinned.Add(int64(changed))
-		ratio := float64(changed) / float64(total)
-		fsp.SetFloat("tile_change_ratio", ratio)
-		// identical: this frame's pixels are certified equal to the
-		// previous frame's (the pooled reference frame for frame 0).
-		identical := changed == 0
-		reused := false
-		opts := pol.Options
-		opts.Trace = fsp
-		if est != nil {
-			if est.Ready() && prevRange > 0 {
-				d, err := est.Distance(&frameHist)
-				if err != nil {
-					return FrameResult{}, err
-				}
-				if d < pol.ReuseThreshold {
-					fsp.SetBool("range_reused", true)
-					reused = true
-					mRangeReuse.Inc()
-				}
-			}
-			if err := est.Observe(&frameHist); err != nil {
-				return FrameResult{}, err
-			}
-		}
-		// Resolve the frame's range exactly as the plain walk would:
-		// reuse inherits the previous range; otherwise the frame's own
-		// search runs — unless its pixels are certified identical to the
-		// memoized own-range decision's, which makes the search a
-		// deterministic replay (SelectRange covers the direct/curve/exact
-		// modes, so the replay covers them too).
-		var rng int
-		ownSearched := false
-		switch {
-		case reused:
-			rng = prevRange
-		case identical && dsOwnValid:
-			rng = dsOwnRange
-		default:
-			rng, _, err = eng.SelectRange(ctx, frame, opts)
-			if err != nil {
-				return FrameResult{}, fmt.Errorf("video: frame %d: %w", i, err)
-			}
-			ownSearched = true
-		}
-		prevRange = rng
-		target, err := power.BetaForRange(rng, transform.Levels)
-		if err != nil {
-			return FrameResult{}, fmt.Errorf("video: frame %d: %w", i, err)
-		}
-		applied := target
-		cutSnap := false
-		if !math.IsNaN(prevBeta) && pol.MaxStep > 0 {
-			delta := target - prevBeta
-			isCut := pol.CutThreshold > 0 && math.Abs(delta) > pol.CutThreshold
-			cutSnap = isCut
-			if delta < -pol.MaxStep && !isCut {
-				applied = prevBeta - pol.MaxStep
-			}
-			if isCut {
-				fsp.SetBool("cut_snap", true)
-				mCutSnaps.Inc()
-			}
-		}
-		applyRange := rng
-		slewed := false
-		//hebslint:allow floateq applied is assigned from target unless slew-limited
-		if applied != target {
-			fsp.SetBool("slew_limited", true)
-			slewed = true
-			mSlewLimited.Inc()
-			applyRange, err = power.RangeForBeta(applied, transform.Levels)
-			if err != nil {
-				return FrameResult{}, err
-			}
-		}
-		opts.DynamicRange = applyRange
-		opts.MaxDistortionPercent = 0
-		opts.ExactSearch = false
-		fr := FrameResult{TargetBeta: target}
-		var planCached bool
-		fused := false
-		if identical && dsMeas.valid && dsMeas.rng == applyRange {
-			// Identical pixels at an identical operating point: the
-			// distortion/power numbers replay from the previous frame, and
-			// the only remaining work is the packed Λ traversal.
-			out, cached, err := eng.FusedApply(ctx, frame, &frameHist, applyRange, opts)
-			if err != nil {
-				return FrameResult{}, fmt.Errorf("video: frame %d: %w", i, err)
-			}
-			eng.ReleaseImage(out)
-			planCached = cached
-			fused = true
-			fsp.SetBool("fused_apply", true)
-			mFastPath.Inc()
-			fr.Beta = dsMeas.beta
-			fr.Range = dsMeas.rng
-			fr.Distortion = dsMeas.distortion
-			fr.SavingPercent = dsMeas.saving
-		} else {
-			r, err := eng.AnalyzeApply(ctx, frame, &frameHist, applyRange, opts)
-			if err != nil {
-				if slewed {
-					return FrameResult{}, fmt.Errorf("video: frame %d (smoothed): %w", i, err)
-				}
-				return FrameResult{}, fmt.Errorf("video: frame %d: %w", i, err)
-			}
-			fr.Range = r.Range
-			fr.Beta = r.Beta
-			fr.Distortion = r.AchievedDistortion
-			planCached = r.PlanCached
-			saving, err := sub.SavingPercent(frame, r.Transformed, r.Beta)
-			r.Release()
-			if err != nil {
-				return FrameResult{}, err
-			}
-			fr.SavingPercent = saving
-			dsMeas = deltaMeas{rng: applyRange, beta: fr.Beta,
-				distortion: fr.Distortion, saving: fr.SavingPercent, valid: true}
-		}
-		// Maintain the own-range memo: a fresh search anchors it to this
-		// frame's pixels; an inherited range on changed pixels orphans it
-		// (the frame's own search never ran); identical pixels leave it
-		// as-is. Then re-validate the pooled records — the frame completed
-		// cleanly, so tile reference, range memo and measurement memo are
-		// mutually consistent again.
-		if ownSearched {
-			dsOwnRange, dsOwnValid = rng, true
-		} else if reused && !identical {
-			dsOwnValid = false
-		}
-		ds.ownRange, ds.ownValid = dsOwnRange, dsOwnValid
-		ds.meas = dsMeas
-		if rec := obs.Flight(); rec != nil {
-			rec.Record(obs.FrameRecord{
-				Frame:           pol.frameOffset + i,
-				TargetBeta:      fr.TargetBeta,
-				Beta:            fr.Beta,
-				Range:           fr.Range,
-				HistHash:        flightHistHash(&frameHist),
-				PlanCached:      planCached,
-				RangeReused:     reused,
-				CutSnap:         cutSnap,
-				SlewLimited:     slewed,
-				FusedApply:      fused,
-				TileChangeRatio: ratio,
-				Workers:         1,
-				Seconds:         time.Since(start).Seconds(),
-			})
-		}
-		if invariant.Enabled {
-			invariant.AssertBeta("video: target β", fr.TargetBeta)
-			invariant.AssertBeta("video: applied β", fr.Beta)
-			if pol.MaxStep > 0 && !math.IsNaN(prevBeta) && !cutSnap {
-				invariant.Assert(prevBeta-fr.Beta <= pol.MaxStep+1.0/float64(transform.Levels-1)+1e-9,
-					"video: dimming slew %v exceeds MaxStep %v", prevBeta-fr.Beta, pol.MaxStep)
-			}
-		}
-		fsp.SetFloat("target_beta", fr.TargetBeta)
-		fsp.SetFloat("applied_beta", fr.Beta)
-		fsp.SetInt("range", fr.Range)
-		fsp.SetFloat("saving_pct", fr.SavingPercent)
-		return fr, nil
-	}
-	frameFn := processFrame
-	if ds != nil {
-		frameFn = processFrameDelta
-	}
-	var clipErr error
-	for i, frame := range seq.Frames {
-		if err := ctx.Err(); err != nil {
-			clipErr = err
-			break
-		}
-		fr, err := frameFn(i, frame)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				// Cancellation surfaced mid-frame: keep the completed
-				// prefix and report the cancellation itself.
-				clipErr = cerr
-				break
-			}
-			return nil, err
-		}
-		res.Frames = append(res.Frames, fr)
-		prevBeta = fr.Beta
-	}
-	// Aggregate (over the completed prefix when cancelled).
-	res.aggregate()
-	if clipErr != nil {
-		return res, clipErr
-	}
-	return res, nil
+	return nil
 }
 
 // aggregate computes the clip-level summary — mean saving and the
 // flicker statistics of the applied β track — over the completed
-// frames and publishes the clip gauges. Both the serial walk and the
-// pipelined scheduler reduce through this one helper, over frames in
-// index order, so their summaries are bit-identical.
+// frames in index order and publishes the clip gauges. The frame walk
+// and the scene-cut wrapper both reduce through this one helper.
 func (r *Result) aggregate() {
 	var sumSave, sumDelta, maxDelta float64
 	for i, f := range r.Frames {

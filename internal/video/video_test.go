@@ -1,6 +1,7 @@
 package video
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -338,5 +339,45 @@ func TestReusePolicyValidation(t *testing.T) {
 	seq, _ := NewSequence([]*gray.Image{gray.New(8, 8)})
 	if _, err := Process(seq, Policy{ReuseThreshold: -1}); err == nil {
 		t.Error("negative reuse threshold should error")
+	}
+}
+
+// TestProcessRejectsNonFinitePolicy: NaN and ±Inf policy thresholds,
+// and a NaN or infinite distortion budget, fail with typed errors
+// before any frame runs — NaN would otherwise silently disable the
+// threshold's feature.
+func TestProcessRejectsNonFinitePolicy(t *testing.T) {
+	seq, err := NewSequence([]*gray.Image{gray.New(8, 8), gray.New(8, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{DynamicRange: 150}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		pol   Policy
+	}{
+		{"MaxStep", Policy{MaxStep: nan, Options: opts}},
+		{"MaxStep", Policy{MaxStep: inf, Options: opts}},
+		{"MaxStep", Policy{MaxStep: -inf, Options: opts}},
+		{"CutThreshold", Policy{CutThreshold: nan, Options: opts}},
+		{"CutThreshold", Policy{CutThreshold: inf, Options: opts}},
+		{"ReuseThreshold", Policy{ReuseThreshold: nan, Options: opts}},
+		{"ReuseThreshold", Policy{ReuseThreshold: inf, Options: opts}},
+		{"TileSize", Policy{TileSize: -1, DeltaAnalysis: true, Options: opts}},
+	} {
+		var perr *PolicyError
+		if _, err := Process(seq, tc.pol); !errors.As(err, &perr) || perr.Field != tc.field {
+			t.Errorf("%s: got %v, want a PolicyError for %s", tc.field, err, tc.field)
+		}
+	}
+	for _, budget := range []float64{nan, inf, -inf} {
+		for _, exact := range []bool{false, true} {
+			pol := Policy{Options: core.Options{MaxDistortionPercent: budget, ExactSearch: exact}}
+			var berr *core.NonFiniteBudgetError
+			if _, err := Process(seq, pol); !errors.As(err, &berr) {
+				t.Errorf("budget %v exact=%v: got %v, want core.NonFiniteBudgetError", budget, exact, err)
+			}
+		}
 	}
 }
