@@ -235,42 +235,6 @@ func DefaultCurve() (*chart.Curve, error) {
 	return defaultCurve, defaultCurveErr
 }
 
-// selectRange performs step 1: D_max → R.
-func selectRange(img *gray.Image, opts Options) (r int, predicted float64, err error) {
-	if opts.DynamicRange != 0 {
-		if opts.DynamicRange < 1 || opts.DynamicRange > transform.Levels-1 {
-			return 0, 0, fmt.Errorf("core: dynamic range %d outside [1,255]", opts.DynamicRange)
-		}
-		return opts.DynamicRange, 0, nil
-	}
-	if opts.MaxDistortionPercent <= 0 {
-		return 0, 0, errors.New("core: need MaxDistortionPercent > 0 or DynamicRange")
-	}
-	if opts.ExactSearch {
-		r, err = chart.MinRangeExact(img, opts.MaxDistortionPercent, opts.Metric)
-		if err != nil {
-			return 0, 0, err
-		}
-		predicted, err = chart.RangeReductionDistortion(img, r, opts.Metric)
-		if err != nil {
-			return 0, 0, err
-		}
-		return r, predicted, nil
-	}
-	curve := opts.Curve
-	if curve == nil {
-		curve, err = DefaultCurve()
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	r, err = curve.MinRange(opts.MaxDistortionPercent, opts.WorstCase)
-	if err != nil {
-		return 0, 0, err
-	}
-	return r, curve.PredictedDistortion(r, opts.WorstCase), nil
-}
-
 // Plan is the image-independent part of a HEBS run: everything the LCD
 // controller needs, derived from the histogram alone. In the hardware
 // flow of Figure 4 this is exactly what gets computed — the controller's

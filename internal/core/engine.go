@@ -6,8 +6,8 @@
 //   - Plan: Φ equalization (Eq. 5–7), PLC coarsening (Eq. 9), β and the
 //     PLRD driver program (Eq. 10) — pure and image-size-independent:
 //     it depends only on the histogram, so identical histograms yield
-//     identical plans and a small LRU keyed by histogram hash makes
-//     steady-state video planning free.
+//     identical plans and the process-wide plan cache (plancache.go)
+//     makes steady-state video planning free.
 //   - Apply: the per-pixel Λ remap into caller- or pool-provided
 //     buffers — the only stage that touches pixel data.
 //
@@ -84,38 +84,32 @@ func validateOptions(opts Options) error {
 
 // EngineOptions configures a new Engine.
 type EngineOptions struct {
-	// PlanCacheSize selects the engine's plan-cache tier. 0 (the
-	// default) joins the process-wide sharded cache — hash-striped
-	// over planCacheShards independently locked LRU stripes and shared
-	// across zones, engines and tenants, with the same exact-match
-	// verification as ever. A positive value gives this engine a
-	// private LRU of that capacity, isolated from process-wide warm
-	// state. A negative value disables caching (every PlanFor
-	// recomputes, emitting the full equalize/plc span set).
+	// PlanCacheSize selects plan caching: negative disables caching
+	// (every PlanFor recomputes, emitting the full equalize/plc span
+	// set); any other value uses the process-wide sharded cache, shared
+	// across zones and engines under an exact-match contract.
 	PlanCacheSize int
 
 	// Workers bounds intra-frame parallelism: sharded histogram
-	// accumulation, sharded Λ application, and the speculative exact
-	// range search. 0 or 1 keeps every stage serial (the default), n >
-	// 1 allows up to n goroutines per stage, and a negative value
-	// selects GOMAXPROCS. Outputs are identical at every setting — the
-	// sharded kernels carry an exact-equality guarantee — and small
-	// frames stay serial regardless (the kernels gate on a per-shard
-	// work floor).
+	// accumulation, sharded Λ application (the exact range search's
+	// probe remaps included) and the zoned walk's zone fan-out. 0 or 1
+	// keeps every stage serial (the default), n > 1 allows up to n
+	// goroutines per stage, and a negative value selects GOMAXPROCS.
+	// Outputs are identical at every setting — the sharded kernels
+	// carry an exact-equality guarantee — and small frames stay serial
+	// regardless (the kernels gate on a per-shard work floor).
 	Workers int
 }
 
 // Engine runs the HEBS pipeline with reusable scratch state: pooled
 // gray/rgb frame buffers and histograms (so steady-state processing
-// allocates ~nothing per frame) and an LRU of recent Plans keyed by
-// histogram hash. An Engine is safe for concurrent use; the zero
-// value is not valid — use NewEngine.
+// allocates ~nothing per frame) and, unless disabled, the process-wide
+// plan cache. An Engine is safe for concurrent use; the zero value is
+// not valid — use NewEngine.
 type Engine struct {
-	// Exactly one of planShared/planCache is non-nil when caching is
-	// enabled: the process-wide sharded tier (the default) or a
-	// private per-engine LRU (PlanCacheSize > 0).
+	// planShared is the process-wide plan cache, nil when caching is
+	// disabled (PlanCacheSize < 0).
 	planShared *planShards
-	planCache  *planCache
 
 	// workers is the resolved EngineOptions.Workers: >= 1, where 1
 	// means every stage runs serially.
@@ -138,11 +132,8 @@ type Engine struct {
 // NewEngine returns an Engine with the given options.
 func NewEngine(opts EngineOptions) *Engine {
 	e := &Engine{workers: resolveWorkers(opts.Workers)}
-	switch size := opts.PlanCacheSize; {
-	case size == 0:
+	if opts.PlanCacheSize >= 0 {
 		e.planShared = globalPlanCache
-	case size > 0:
-		e.planCache = &planCache{cap: size}
 	}
 	return e
 }
@@ -381,10 +372,8 @@ func (e *Engine) reconForRange(r int) (*transform.LUT, error) {
 
 // rangeReductionDistortion is chart.RangeReductionDistortion through
 // the engine's reconstruction cache and a caller-provided scratch
-// buffer: numerically identical, allocation-free once warm. shards
-// bounds the remap's intra-frame parallelism (1 = serial; candidate
-// evaluations already running on pool workers pass 1).
-func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.Metric, scratch *gray.Image, shards int) (float64, error) {
+// buffer: numerically identical, allocation-free once warm.
+func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.Metric, scratch *gray.Image) (float64, error) {
 	recon, err := e.reconForRange(r)
 	if err != nil {
 		return 0, err
@@ -392,32 +381,22 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 	if metric == nil {
 		metric = chart.UQIMetric
 	}
-	if err := recon.ApplyIntoShards(img, scratch, shards); err != nil {
+	if err := recon.ApplyIntoShards(img, scratch, e.workers); err != nil {
 		return 0, err
 	}
 	return metric(img, scratch)
 }
 
-// minRangeExact is chart.MinRangeExact plus the follow-up predicted
-// distortion measurement, run on pooled scratch state: the smallest
-// dynamic range in [2, 255] whose measured linear range-reduction
-// distortion on this image does not exceed the budget. With engine
-// workers and a frame large enough to amortize the fan-out it
-// delegates to the speculative parallel search, which probes the
-// identical candidate sequence.
-func (e *Engine) minRangeExact(ctx context.Context, img *gray.Image, maxDistortion float64, metric chart.Metric) (r int, predicted float64, err error) {
-	return e.minRangeExactInto(ctx, img, maxDistortion, metric, nil)
-}
-
-// minRangeExactInto is minRangeExact with an optional caller-provided
-// probe scratch buffer (img's geometry). The zoned fast path passes
-// each zone slot's persistent buffer so per-zone searches stop cycling
-// the engine pool between zone and frame geometries; nil keeps the
-// pooled behavior.
-func (e *Engine) minRangeExactInto(ctx context.Context, img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
-	if e.workers > 1 && len(img.Pix) >= minSearchPixels {
-		return e.minRangeExactSpec(ctx, img, maxDistortion, metric)
-	}
+// minRangeExact is chart.MinRangeExact plus the predicted distortion
+// at the chosen range: the smallest dynamic range in [2, 255] whose
+// measured linear range-reduction distortion on this image does not
+// exceed the budget. Bisection ends with lo == hi, and hi is either the
+// last accepted probe — whose distortion is kept as the prediction —
+// or 255, which no probe measures, so only R = 255 costs one more
+// metric pass. scratch is an optional probe buffer of img's geometry (the
+// zoned walk passes each zone slot's persistent buffer); nil draws one
+// from the engine pool.
+func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
 	if scratch == nil {
 		scratch = e.getGray(img.W, img.H)
 		defer e.putGray(scratch)
@@ -425,42 +404,54 @@ func (e *Engine) minRangeExactInto(ctx context.Context, img *gray.Image, maxDist
 	lo, hi := 2, transform.Levels-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		d, err := e.rangeReductionDistortion(img, mid, metric, scratch, e.workers)
+		d, err := e.rangeReductionDistortion(img, mid, metric, scratch)
 		if err != nil {
 			return 0, 0, err
 		}
 		if d <= maxDistortion {
-			hi = mid
+			hi, predicted = mid, d
 		} else {
 			lo = mid + 1
 		}
 	}
-	predicted, err = e.rangeReductionDistortion(img, lo, metric, scratch, e.workers)
-	if err != nil {
-		return 0, 0, err
+	if lo == transform.Levels-1 {
+		predicted, err = e.rangeReductionDistortion(img, lo, metric, scratch)
+		if err != nil {
+			return 0, 0, err
+		}
 	}
 	return lo, predicted, nil
 }
 
-// selectRange is step 1 (D_max → R) through the engine: identical
-// decisions to the package-level selectRange, with the ExactSearch
-// path run against pooled scratch buffers and the per-range
-// reconstruction cache.
-func (e *Engine) selectRange(ctx context.Context, img *gray.Image, opts Options) (r int, predicted float64, err error) {
-	if opts.ExactSearch && opts.DynamicRange == 0 && opts.MaxDistortionPercent > 0 {
-		return e.minRangeExact(ctx, img, opts.MaxDistortionPercent, opts.Metric)
+// selectRange performs step 1 (D_max → R): the direct DynamicRange
+// when one is set, the per-image exact search under ExactSearch, else
+// the characteristic curve's admissible range. scratch is the exact
+// search's optional probe buffer (see minRangeExact).
+func (e *Engine) selectRange(img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
+	if opts.DynamicRange != 0 {
+		if opts.DynamicRange < 1 || opts.DynamicRange > transform.Levels-1 {
+			return 0, 0, fmt.Errorf("core: dynamic range %d outside [1,255]", opts.DynamicRange)
+		}
+		return opts.DynamicRange, 0, nil
 	}
-	return selectRange(img, opts)
-}
-
-// selectRangeZone is selectRange with a caller-provided scratch buffer
-// for the exact-search probes (identical decisions; see
-// minRangeExactInto).
-func (e *Engine) selectRangeZone(ctx context.Context, img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
-	if opts.ExactSearch && opts.DynamicRange == 0 && opts.MaxDistortionPercent > 0 {
-		return e.minRangeExactInto(ctx, img, opts.MaxDistortionPercent, opts.Metric, scratch)
+	if opts.MaxDistortionPercent <= 0 {
+		return 0, 0, errors.New("core: need MaxDistortionPercent > 0 or DynamicRange")
 	}
-	return selectRange(img, opts)
+	if opts.ExactSearch {
+		return e.minRangeExact(img, opts.MaxDistortionPercent, opts.Metric, scratch)
+	}
+	curve := opts.Curve
+	if curve == nil {
+		curve, err = DefaultCurve()
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	r, err = curve.MinRange(opts.MaxDistortionPercent, opts.WorstCase)
+	if err != nil {
+		return 0, 0, err
+	}
+	return r, curve.PredictedDistortion(r, opts.WorstCase), nil
 }
 
 // SelectRange runs step 1 alone — the D_max → R admissible-range
@@ -484,7 +475,7 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 		parent = obs.SpanFromContext(ctx)
 	}
 	_, done := stage(parent, stageRangeSelect)
-	r, predicted, err = e.selectRange(ctx, img, opts)
+	r, predicted, err = e.selectRange(img, opts, nil)
 	done.end(err)
 	return r, predicted, err
 }
@@ -496,7 +487,7 @@ func (e *Engine) analyzeStages(ctx context.Context, sp *obs.Span, img *gray.Imag
 		return 0, 0, nil, err
 	}
 	_, rsDone := stage(sp, stageRangeSelect)
-	r, predicted, err = e.selectRange(ctx, img, opts)
+	r, predicted, err = e.selectRange(img, opts, nil)
 	rsDone.end(err)
 	if err != nil {
 		return 0, 0, nil, err
@@ -538,15 +529,9 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 	}
 	var hash uint64
 	clipBits := math.Float64bits(clipFactor)
-	if e.planShared != nil || e.planCache != nil {
+	if e.planShared != nil {
 		hash = planHash(h, r, segments, eq, clipBits)
-		var plan *Plan
-		if e.planShared != nil {
-			plan = e.planShared.lookup(hash, h, r, segments, drv, eq, clipBits)
-		} else {
-			plan = e.planCache.lookup(hash, h, r, segments, drv, eq, clipBits)
-		}
-		if plan != nil {
+		if plan := e.planShared.lookup(hash, h, r, segments, drv, eq, clipBits); plan != nil {
 			mPlanCacheHits.Inc()
 			parent.SetBool("plan_cached", true)
 			return plan, true, nil
@@ -557,11 +542,8 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 	if err != nil {
 		return nil, false, err
 	}
-	switch {
-	case e.planShared != nil:
+	if e.planShared != nil {
 		e.planShared.store(hash, h, r, segments, drv, eq, clipBits, plan)
-	case e.planCache != nil:
-		e.planCache.store(hash, h, r, segments, drv, eq, clipBits, plan)
 	}
 	return plan, false, nil
 }

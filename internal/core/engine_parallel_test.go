@@ -3,17 +3,21 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"hebs/internal/chart"
+	"hebs/internal/gray"
 	"hebs/internal/rgb"
 	"hebs/internal/sipi"
+	"hebs/internal/transform"
 )
 
 // TestEngineParallelProcessEqualsSerial: a workers>1 engine produces
 // byte-identical output (frame, plan, measurements) to a serial one,
 // across the suite and option shapes that exercise every parallel
-// kernel — sharded histogram/apply via large frames, the speculative
-// exact search, and the direct-range path.
+// kernel — sharded histogram/apply via large frames, the exact search
+// (whose probe remaps shard too), and the direct-range path.
 func TestEngineParallelProcessEqualsSerial(t *testing.T) {
 	ctx := context.Background()
 	suite, err := sipi.Suite(256, 256)
@@ -89,49 +93,66 @@ func TestEngineParallelColorEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestSpecDepth: the speculation depth is the largest d with
-// 2^d − 1 <= workers, at least 1, at most the 8 levels bisection over
-// 254 candidates can ever take.
-func TestSpecDepth(t *testing.T) {
-	cases := []struct{ workers, want int }{
-		{1, 1}, {2, 1}, {3, 2}, {4, 2}, {6, 2}, {7, 3}, {8, 3},
-		{15, 4}, {16, 4}, {255, 8}, {100000, 8},
-	}
-	for _, c := range cases {
-		if got := specDepth(c.workers); got != c.want {
-			t.Errorf("specDepth(%d) = %d, want %d", c.workers, got, c.want)
-		}
-	}
-}
-
-// TestMinRangeExactSpecMatchesSerial drives the speculative search
-// directly against the serial bisection over a sweep of budgets, on a
-// frame above the size gate.
-func TestMinRangeExactSpecMatchesSerial(t *testing.T) {
+// TestExactSearchMatchesChart pins the engine's exact range search
+// against the plain chart.MinRangeExact oracle on frames either side of
+// 128K pixels, at several worker counts and budgets from "nothing
+// admissible" to "anything goes": the same R, a predicted distortion
+// bit-identical to a fresh chart.RangeReductionDistortion at that R,
+// and the same metric evaluations as the oracle's bisection plus one
+// only when no probe met the budget (R = 255).
+func TestExactSearchMatchesChart(t *testing.T) {
 	ctx := context.Background()
-	img, err := sipi.Generate("west", 256, 256)
-	if err != nil {
-		t.Fatal(err)
+	var calls atomic.Int64
+	counting := func(a, b *gray.Image) (float64, error) {
+		calls.Add(1)
+		return chart.UQIMetric(a, b)
 	}
-	serial := NewEngine(EngineOptions{})
-	for _, workers := range []int{2, 3, 7, 16} {
-		par := NewEngine(EngineOptions{Workers: workers})
-		for _, budget := range []float64{0.5, 2, 5, 10, 20, 50, 99} {
-			wantR, wantD, err := serial.minRangeExact(ctx, img, budget, nil)
-			if err != nil {
+	budgets := []float64{1e-9, 0.01, 0.5, 2, 5, 10, 20, 50, 99}
+	for _, size := range []int{256, 384} {
+		img, err := sipi.Generate("west", size, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every level present, so even R = 254 distorts and the tiny
+		// budget leaves nothing admissible below 255.
+		for v := range transform.Levels {
+			img.Pix[v] = uint8(v)
+		}
+		wantR := make([]int, len(budgets))
+		wantD := make([]float64, len(budgets))
+		wantCalls := make([]int64, len(budgets))
+		for i, budget := range budgets {
+			calls.Store(0)
+			if wantR[i], err = chart.MinRangeExact(img, budget, counting); err != nil {
 				t.Fatal(err)
 			}
-			gotR, gotD, err := par.minRangeExactSpec(ctx, img, budget, nil)
-			if err != nil {
-				t.Fatal(err)
+			wantCalls[i] = calls.Load()
+			if wantR[i] == transform.Levels-1 {
+				wantCalls[i]++
 			}
-			if gotR != wantR || gotD != wantD { //hebslint:allow floateq
-				t.Fatalf("workers=%d budget=%v: spec (R=%d d=%v) != serial (R=%d d=%v)",
-					workers, budget, gotR, gotD, wantR, wantD)
+			if wantD[i], err = chart.RangeReductionDistortion(img, wantR[i], nil); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if inUse := par.PoolStats().InUse(); inUse != 0 {
-			t.Fatalf("workers=%d: search leaked %d scratch buffers", workers, inUse)
+		for _, workers := range []int{1, 2, 4, 7} {
+			eng := NewEngine(EngineOptions{Workers: workers})
+			for i, budget := range budgets {
+				calls.Store(0)
+				r, predicted, err := eng.SelectRange(ctx, img, Options{MaxDistortionPercent: budget, ExactSearch: true, Metric: counting})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r != wantR[i] || predicted != wantD[i] { //hebslint:allow floateq
+					t.Errorf("%d² workers=%d budget=%v: engine (R=%d d=%v), chart (R=%d d=%v)",
+						size, workers, budget, r, predicted, wantR[i], wantD[i])
+				}
+				if got := calls.Load(); got != wantCalls[i] {
+					t.Errorf("%d² workers=%d budget=%v: %d metric calls, want %d", size, workers, budget, got, wantCalls[i])
+				}
+			}
+			if inUse := eng.PoolStats().InUse(); inUse != 0 {
+				t.Fatalf("%d² workers=%d: search leaked %d scratch buffers", size, workers, inUse)
+			}
 		}
 	}
 }

@@ -42,9 +42,9 @@ var (
 	mPlanCacheHits   = obs.NewCounter("core.plan_cache_hits_total")
 	mPlanCacheMisses = obs.NewCounter("core.plan_cache_misses_total")
 
-	// Plan-LRU occupancy of the most recently active caching engine
-	// (multiple engines share the gauge; the counters above are the
-	// cross-engine truth).
+	// Occupancy and capacity of the process-wide plan cache. Every
+	// store and eviction adjusts the entries gauge by one, so it tracks
+	// the total across stripes without a racing republish.
 	gPlanCacheEntries  = obs.NewGauge("core.plan_cache.entries")
 	gPlanCacheCapacity = obs.NewGauge("core.plan_cache.capacity")
 

@@ -57,6 +57,7 @@ func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 	s := newPlanShards()
 	sh := &s.shards[3]
 	hits0, misses0, evict0 := sh.hits.Value(), sh.misses.Value(), sh.evictions.Value()
+	gauge0 := gPlanCacheEntries.Value()
 
 	// Craft hashes that land on shard 3 (top 4 bits = 3) while keeping
 	// per-entry keys distinct via the range argument.
@@ -84,8 +85,8 @@ func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 	if got := sh.misses.Value() - misses0; got != 1 {
 		t.Errorf("shard misses %d, want 1", got)
 	}
-	if got := s.entries.Load(); got != planShardCap {
-		t.Errorf("entries gauge %d, want %d", got, planShardCap)
+	if got := gPlanCacheEntries.Value() - gauge0; got != planShardCap {
+		t.Errorf("entries gauge moved by %v, want %d", got, planShardCap)
 	}
 }
 
@@ -111,21 +112,57 @@ func TestPlanShardsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineCacheTiers: PlanCacheSize selects the tier — 0 the shared
-// sharded cache (plans flow between engines), >0 a private LRU
-// (isolated), <0 disabled.
+// TestEngineCacheTiers: a negative PlanCacheSize disables caching; any
+// other value joins the process-wide sharded cache (plans flow between
+// engines).
 func TestEngineCacheTiers(t *testing.T) {
-	shared1 := NewEngine(EngineOptions{})
-	shared2 := NewEngine(EngineOptions{})
-	if shared1.planShared != globalPlanCache || shared2.planShared != globalPlanCache {
-		t.Fatal("default engines not on the shared tier")
-	}
-	private := NewEngine(EngineOptions{PlanCacheSize: 4})
-	if private.planShared != nil || private.planCache == nil || private.planCache.cap != 4 {
-		t.Fatal("positive PlanCacheSize did not select a private LRU")
+	for _, size := range []int{0, 4} {
+		if eng := NewEngine(EngineOptions{PlanCacheSize: size}); eng.planShared != globalPlanCache {
+			t.Fatalf("PlanCacheSize %d: engine not on the shared cache", size)
+		}
 	}
 	disabled := NewEngine(EngineOptions{PlanCacheSize: -1})
-	if disabled.planShared != nil || disabled.planCache != nil {
+	if disabled.planShared != nil {
 		t.Fatal("negative PlanCacheSize did not disable caching")
+	}
+}
+
+// TestPlanShardsEntriesGauge: after a concurrent burst of stores that
+// overfills every stripe, the entries gauge has moved by exactly the
+// change in total stripe occupancy — no store or eviction is lost or
+// published out of order.
+func TestPlanShardsEntriesGauge(t *testing.T) {
+	s := newPlanShards()
+	occupancy := func() int {
+		n := 0
+		for i := range s.shards {
+			n += len(s.shards[i].entries)
+		}
+		return n
+	}
+	gauge0, occ0 := gPlanCacheEntries.Value(), occupancy()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := histWithSeed(w)
+			for i := 0; i < 4*planShardCap; i++ {
+				// Spread stores over every stripe via the hash's top bits.
+				hash := uint64(i%planCacheShards)<<60 | uint64(w)<<8 | uint64(i)
+				s.store(hash, h, 2+i%250, 8, nil, EqualizerGHE, 0, &Plan{})
+			}
+		}(w)
+	}
+	wg.Wait()
+	var evictions int64
+	for i := range s.shards {
+		evictions += s.shards[i].evictions.Value()
+	}
+	if evictions == 0 {
+		t.Fatal("burst evicted nothing; the test needs evictions")
+	}
+	if got, want := gPlanCacheEntries.Value()-gauge0, float64(occupancy()-occ0); got != want { //hebslint:allow floateq
+		t.Fatalf("entries gauge moved by %v, stripe occupancy by %v", got, want)
 	}
 }

@@ -111,7 +111,7 @@ func nightScene(w, h int) *gray.Image {
 func TestZonedLEDBeatsGlobalCCFLOnNonUniformContent(t *testing.T) {
 	img := nightScene(128, 128)
 	opts := Options{MaxDistortionPercent: 2, ExactSearch: true}
-	eng := NewEngine(EngineOptions{PlanCacheSize: 64})
+	eng := NewEngine(EngineOptions{})
 
 	ccfl, err := eng.ProcessZoned(context.Background(), img, opts, backlight.DefaultCCFL())
 	if err != nil {
@@ -167,7 +167,7 @@ func TestZonedWorkersIdentical(t *testing.T) {
 	opts := Options{MaxDistortionPercent: 8, ExactSearch: true}
 	var ref *ZonedResult
 	for _, workers := range []int{1, 4} {
-		eng := NewEngine(EngineOptions{Workers: workers, PlanCacheSize: 32})
+		eng := NewEngine(EngineOptions{Workers: workers})
 		res, err := eng.ProcessZoned(context.Background(), img, opts, led)
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +203,7 @@ func TestZonedBetaFloorRaisesZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(EngineOptions{PlanCacheSize: 16})
+	eng := NewEngine(EngineOptions{})
 	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
 	free, err := eng.ProcessZoned(context.Background(), img, opts, led)
 	if err != nil {
@@ -259,7 +259,7 @@ func TestZonedSmoothingBoundsGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(EngineOptions{PlanCacheSize: 64})
+	eng := NewEngine(EngineOptions{})
 	opts := Options{MaxDistortionPercent: 10, ExactSearch: true, ZoneMaxGradient: 0.15}
 	res, err := eng.ProcessZoned(context.Background(), img, opts, led)
 	if err != nil {

@@ -71,10 +71,14 @@ func zonedWalkFrames(t *testing.T, fx string, n int) []*gray.Image {
 	return frames
 }
 
-// zonedWalk runs the frames through one engine like the video governor
+// zonedProcess is one zoned walk: Engine.ProcessZoned or the reference
+// oracle Engine.processZonedOracle.
+type zonedProcess func(context.Context, *gray.Image, Options, backlight.Backend) (*ZonedResult, error)
+
+// zonedWalk runs the frames through one walk like the video governor
 // does — per-zone dimming floors derived from the previous frame's
 // applied field — and snapshots every result.
-func zonedWalk(t *testing.T, eng *Engine, frames []*gray.Image, opts Options, b backlight.Backend) []zonedSnapshot {
+func zonedWalk(t *testing.T, process zonedProcess, frames []*gray.Image, opts Options, b backlight.Backend) []zonedSnapshot {
 	t.Helper()
 	zones := b.Grid().Zones()
 	var prev []float64
@@ -92,7 +96,7 @@ func zonedWalk(t *testing.T, eng *Engine, frames []*gray.Image, opts Options, b 
 			}
 			o.ZoneBetaFloor = floors
 		}
-		zr, err := eng.ProcessZoned(context.Background(), f, o, b)
+		zr, err := process(context.Background(), f, o, b)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -126,12 +130,8 @@ func TestZonedFastPathEquivalence(t *testing.T) {
 		for _, b := range backends {
 			for _, fx := range []string{"lena", "baboon"} {
 				frames := zonedWalkFrames(t, fx, 7)
-
-				prevMode := SetZonedFastPath(true)
-				fast := zonedWalk(t, NewEngine(EngineOptions{Workers: workers}), frames, opts, b)
-				SetZonedFastPath(false)
-				ref := zonedWalk(t, NewEngine(EngineOptions{Workers: workers}), frames, opts, b)
-				SetZonedFastPath(prevMode)
+				fast := zonedWalk(t, NewEngine(EngineOptions{Workers: workers}).ProcessZoned, frames, opts, b)
+				ref := zonedWalk(t, NewEngine(EngineOptions{Workers: workers}).processZonedOracle, frames, opts, b)
 
 				for i := range frames {
 					if !reflect.DeepEqual(fast[i], ref[i]) {
@@ -168,9 +168,7 @@ func TestZonedFastPathKeyInvalidation(t *testing.T) {
 		got := snapshotZoned(zr)
 		zr.Release()
 
-		prev := SetZonedFastPath(false)
-		zrRef, err := ref.ProcessZoned(context.Background(), img, opts, led)
-		SetZonedFastPath(prev)
+		zrRef, err := ref.processZonedOracle(context.Background(), img, opts, led)
 		if err != nil {
 			t.Fatalf("budget %v (ref): %v", budget, err)
 		}

@@ -1,8 +1,8 @@
-// Pooled cross-call state for the zoned fast path. The reference walk
-// recomputes every zone from scratch each frame; for video that is
-// almost always wasted work — local-dimming content changes a few
-// zones per frame while the rest are byte-identical. The fast walk
-// keeps, per (geometry, option-key) state object in a sync.Pool:
+// Pooled cross-call state for the zoned walk. Recomputing every zone
+// from scratch each frame is, for video, almost always wasted work —
+// local-dimming content changes a few zones per frame while the rest
+// are byte-identical. The walk keeps, per (geometry, option-key) state
+// object in a sync.Pool:
 //
 //   - a reference copy of each zone's pixels, its histogram and its
 //     analyzed admissible range. A zone whose current pixels compare
@@ -37,7 +37,6 @@ import (
 	"math"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"hebs/internal/backlight"
 	"hebs/internal/chart"
@@ -47,18 +46,6 @@ import (
 	"hebs/internal/obs"
 	"hebs/internal/parallel"
 )
-
-// zonedFastPath gates the pooled-state walk (on by default).
-var zonedFastPath atomic.Bool
-
-func init() { zonedFastPath.Store(true) }
-
-// SetZonedFastPath enables or disables the zoned fast path and returns
-// the previous setting. The slow setting routes ProcessZoned through
-// the from-scratch reference walk; it exists for the equivalence suite
-// and A/B benchmarking. Safe for concurrent use; toggling affects
-// subsequent ProcessZoned calls only.
-func SetZonedFastPath(on bool) bool { return zonedFastPath.Swap(on) }
 
 // zonedOptKey fingerprints every Options field and the backend
 // identity the memoized per-zone values depend on: the range search
@@ -120,7 +107,7 @@ type zoneSlot struct {
 	before backlight.ZonePower
 }
 
-// zonedState is the pooled cross-call state of the fast walk.
+// zonedState is the pooled cross-call state of the zoned walk.
 type zonedState struct {
 	w, h       int
 	rows, cols int
@@ -235,9 +222,10 @@ func (st *zonedState) canReplay(k int) bool {
 	return st.unchanged[k] && z.mValid && z.plan != nil && z.mRng == st.rngs[k] && z.mBeta == st.betas[k]
 }
 
-// processZonedFast is the pooled-state walk. Identical outputs to
-// processZonedRef on every input (TestZonedFastPathEquivalence pins
-// this), with three certified shortcuts: unchanged zones skip
+// processZonedFast is the pooled-state walk. Identical outputs to a
+// from-scratch walk on every input (TestZonedFastPathEquivalence pins
+// this against the tests' reference walk), with three certified
+// shortcuts: unchanged zones skip
 // analysis, operating-point-stable zones replay measurements, and
 // all-replay frames replay the frame distortion.
 func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.Image, opts Options, b backlight.Backend, g backlight.Grid, segments int, metric chart.Metric) (*ZonedResult, error) {
@@ -265,7 +253,7 @@ func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.I
 		z.mValid = false
 		z.plan = nil
 		copyRect(img, z.img, z.x0, z.y0)
-		r, _, err := e.selectRangeZone(ctx, z.img, opts, z.scratch)
+		r, _, err := e.selectRange(z.img, opts, z.scratch)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -279,8 +267,8 @@ func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.I
 		return nil, err
 	}
 
-	// Phase B — the serial β-field pass (shared with the reference
-	// walk). Cheap, floor-dependent, deterministic: always recomputed.
+	// Phase B — the serial β-field pass (shared with the tests'
+	// reference walk). Cheap, floor-dependent, deterministic: always recomputed.
 	for k := range st.slots {
 		st.rs[k] = st.slots[k].r
 	}

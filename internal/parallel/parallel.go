@@ -1,9 +1,9 @@
 // Package parallel is the engine's shared concurrency substrate: a
 // bounded, context-aware worker pool with ordered result slots. Every
 // fan-out in the system — batch processing, the experiment suite, the
-// pipelined video scheduler, sharded pixel kernels and the speculative
-// range search — runs through the two primitives here instead of
-// re-growing its own goroutine pool.
+// pipelined video scheduler, the zone grid and the sharded pixel
+// kernels — runs through the two primitives here instead of re-growing
+// its own goroutine pool.
 //
 // The determinism contract all callers rely on: work is identified by
 // index, results are written into caller-owned per-index slots, and any

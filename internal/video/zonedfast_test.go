@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hebs/internal/backlight"
+	"hebs/internal/chart"
 	"hebs/internal/core"
 	"hebs/internal/gray"
 )
@@ -36,8 +37,11 @@ func patchClip(t *testing.T, n int) *Sequence {
 // TestZonedClipFastPathEquivalence is the video-layer leg of the
 // fast-path equivalence suite: whole clips through the per-zone
 // governor — backends × workers {1,4} × delta on/off × global and
-// zone-local motion — produce bit-identical FrameResults whether the
-// engine runs the pooled fast walk or the reference walk.
+// zone-local motion — produce bit-identical FrameResults to an oracle
+// run of the same clip with every memo out of play. The oracle turns
+// delta analysis off and passes the default metric as a custom
+// closure, which the engine's zoned state cannot fingerprint, so no
+// zone skip, replay or frame-distortion memo survives across calls.
 func TestZonedClipFastPathEquivalence(t *testing.T) {
 	pan, err := Pan(base(t), 48, 48, 6, 8)
 	if err != nil {
@@ -52,22 +56,23 @@ func TestZonedClipFastPathEquivalence(t *testing.T) {
 	}
 	backends := []backlight.Backend{backlight.DefaultCCFL(), ledBackend(t, 4, 4)}
 	opts := core.Options{MaxDistortionPercent: 10, ExactSearch: true}
+	oracleOpts := opts
+	oracleOpts.Metric = func(a, b *gray.Image) (float64, error) { return chart.UQIMetric(a, b) }
 	for _, clip := range clips {
 		for _, b := range backends {
 			for _, workers := range []int{1, 4} {
+				ref, err := Process(clip.seq, Policy{
+					MaxStep: 0.05, CutThreshold: 0.2, Options: oracleOpts,
+					Workers: workers, Backend: b,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, delta := range []bool{false, true} {
-					pol := Policy{
+					fast, err := Process(clip.seq, Policy{
 						MaxStep: 0.05, CutThreshold: 0.2, Options: opts,
 						Workers: workers, DeltaAnalysis: delta, Backend: b,
-					}
-					prev := core.SetZonedFastPath(true)
-					fast, err := Process(clip.seq, pol)
-					if err != nil {
-						t.Fatal(err)
-					}
-					core.SetZonedFastPath(false)
-					ref, err := Process(clip.seq, pol)
-					core.SetZonedFastPath(prev)
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
