@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,19 +76,43 @@ func TestBuildClipShapes(t *testing.T) {
 	}
 }
 
+// TestRunTimeline: the timeline has a row per frame, every stage
+// column, and at least one core.Process run on every row — with -delta
+// too, where every pan frame moves and so measures.
 func TestRunTimeline(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-clip", "fade", "-frames", "4", "-size", "32",
-		"-timeline"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "per-frame span timeline") {
-		t.Fatalf("timeline section missing:\n%s", out)
-	}
-	for _, col := range []string{"range_select", "equalize", "plc", "apply"} {
-		if !strings.Contains(out, col) {
-			t.Errorf("timeline missing stage column %q", col)
+	for _, args := range [][]string{
+		{"-clip", "fade", "-frames", "4", "-size", "32", "-timeline"},
+		{"-clip", "pan", "-frames", "4", "-size", "64", "-delta", "-timeline"},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		_, table, ok := strings.Cut(sb.String(), "per-frame span timeline")
+		if !ok {
+			t.Fatalf("%v: timeline section missing:\n%s", args, sb.String())
+		}
+		for _, col := range []string{"range_select", "equalize", "plc", "apply"} {
+			if !strings.Contains(table, col) {
+				t.Errorf("%v: timeline missing stage column %q", args, col)
+			}
+		}
+		rows := 0
+		for _, line := range strings.Split(table, "\n") {
+			f := strings.Fields(line)
+			if len(f) < 3 {
+				continue
+			}
+			if _, err := strconv.Atoi(f[0]); err != nil {
+				continue // title and header lines
+			}
+			rows++
+			if runs, err := strconv.Atoi(f[2]); err != nil || runs < 1 {
+				t.Errorf("%v: frame %s: runs column %q, want >= 1", args, f[0], f[2])
+			}
+		}
+		if rows != 4 {
+			t.Errorf("%v: timeline has %d frame rows, want 4:\n%s", args, rows, table)
 		}
 	}
 }

@@ -162,9 +162,9 @@ type Result struct {
 	// RealizationError is the MSE between the hardware's displayed
 	// luminance and Λ (0 unless Options.Driver set).
 	RealizationError float64
-	// PlanCached reports whether the Plan came from the engine's LRU
+	// PlanCached reports whether the Plan came from the plan cache
 	// rather than a fresh equalize/plc solve (always false on engines
-	// with caching disabled, including the legacy wrappers).
+	// with caching disabled, including the package-level wrappers).
 	PlanCached bool
 
 	// eng is the engine whose pool owns Transformed; set by
@@ -357,11 +357,9 @@ func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Hi
 	return plan, nil
 }
 
-// Process runs the full HEBS pipeline on an image. It delegates to
-// the process-wide default Engine (plan cache disabled), so outputs,
-// metrics and span trees are identical to the pre-engine pipeline;
-// use Engine.Process directly for cancellation, plan caching and
-// buffer recycling.
+// Process runs the full HEBS pipeline on an image through the
+// process-wide default Engine (plan cache disabled); use
+// Engine.Process directly for plan caching and buffer recycling.
 func Process(img *gray.Image, opts Options) (*Result, error) {
 	return DefaultEngine().Process(context.Background(), img, opts)
 }
@@ -405,12 +403,6 @@ type ColorResult struct {
 // reference ladder (Section 2).
 func ProcessColor(img *rgb.Image, opts Options) (*ColorResult, error) {
 	return DefaultEngine().ProcessColor(context.Background(), img, opts)
-}
-
-// ProcessColorContext is ProcessColor with cooperative cancellation
-// between pipeline stages.
-func ProcessColorContext(ctx context.Context, img *rgb.Image, opts Options) (*ColorResult, error) {
-	return DefaultEngine().ProcessColor(ctx, img, opts)
 }
 
 // CompensatedColorPreview renders the color frame as perceived after

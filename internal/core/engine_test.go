@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 
-	"hebs/internal/chart"
 	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
@@ -85,16 +83,9 @@ func TestConflictingOptionsRejected(t *testing.T) {
 	if conflict.DynamicRange != 150 {
 		t.Fatalf("conflict range = %d, want 150", conflict.DynamicRange)
 	}
-	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
-	if _, err := eng.Analyze(ctx, img, opts); !errors.As(err, &conflict) {
-		t.Fatalf("Analyze: got %v, want ConflictingOptionsError", err)
-	}
-	if _, err := eng.ProcessBatch(ctx, []*gray.Image{img}, opts); !errors.As(err, &conflict) {
-		t.Fatalf("ProcessBatch: got %v, want ConflictingOptionsError", err)
-	}
-	if _, err := ProcessBatch([]*gray.Image{img}, opts); !errors.As(err, &conflict) {
-		t.Fatalf("legacy ProcessBatch: got %v, want ConflictingOptionsError", err)
+	if _, _, err := NewEngine(EngineOptions{}).SelectRange(ctx, img, opts); !errors.As(err, &conflict) {
+		t.Fatalf("SelectRange: got %v, want ConflictingOptionsError", err)
 	}
 }
 
@@ -117,14 +108,6 @@ func TestNonFiniteBudgetRejected(t *testing.T) {
 					_, _, err := eng.SelectRange(ctx, img, opts)
 					return err
 				},
-				"Analyze": func() error {
-					_, err := eng.Analyze(ctx, img, opts)
-					return err
-				},
-				"ProcessBatch": func() error {
-					_, err := eng.ProcessBatch(ctx, []*gray.Image{img}, opts)
-					return err
-				},
 			} {
 				var nonFinite *NonFiniteBudgetError
 				err := run()
@@ -139,47 +122,6 @@ func TestNonFiniteBudgetRejected(t *testing.T) {
 	}
 }
 
-// TestEngineStagesComposeLikeProcess: Analyze → PlanFor → Apply run
-// individually must reproduce Process's transformed frame, and
-// releasing every stage output must drain the pools.
-func TestEngineStagesComposeLikeProcess(t *testing.T) {
-	img := testImg(t, "baboon")
-	opts := Options{DynamicRange: 150}
-	want, err := Process(img, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(EngineOptions{})
-	ctx := context.Background()
-	an, err := eng.Analyze(ctx, img, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.Range != want.Range {
-		t.Fatalf("Analyze range %d != Process range %d", an.Range, want.Range)
-	}
-	plan, err := eng.PlanFor(ctx, an.Histogram, an.Range, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *plan.Lambda != *want.Lambda {
-		t.Fatal("PlanFor Λ differs from Process")
-	}
-	out, err := eng.Apply(ctx, plan, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Equal(want.Transformed) {
-		t.Fatal("Apply output differs from Process transformed frame")
-	}
-	eng.ReleaseImage(out)
-	an.Release()
-	an.Release() // idempotent
-	if inUse := eng.PoolStats().InUse(); inUse != 0 {
-		t.Fatalf("pool leak: %d buffers still in use", inUse)
-	}
-}
-
 // TestEnginePlanCacheSharesPlans: identical histograms at the same
 // operating point must return the same cached *Plan, and a different
 // operating point must miss.
@@ -187,36 +129,24 @@ func TestEnginePlanCacheSharesPlans(t *testing.T) {
 	img := testImg(t, "lena")
 	h := histogram.Of(img)
 	eng := NewEngine(EngineOptions{})
-	ctx := context.Background()
-	opts := Options{}
-	p1, err := eng.PlanFor(ctx, h, 150, opts)
-	if err != nil {
-		t.Fatal(err)
+	planAt := func(e *Engine, r int) *Plan {
+		t.Helper()
+		plan, _, err := e.planFor(context.Background(), nil, h, r, 0, nil, EqualizerGHE, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
 	}
-	p2, err := eng.PlanFor(ctx, h, 150, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
+	p1 := planAt(eng, 150)
+	if p2 := planAt(eng, 150); p1 != p2 {
 		t.Fatal("same histogram and range: plan not served from cache")
 	}
-	p3, err := eng.PlanFor(ctx, h, 120, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
+	if p3 := planAt(eng, 120); p3 == p1 {
 		t.Fatal("different range must not hit the cache")
 	}
 	// Cache disabled: always a fresh plan.
 	nocache := NewEngine(EngineOptions{PlanCacheSize: -1})
-	q1, err := nocache.PlanFor(ctx, h, 150, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := nocache.PlanFor(ctx, h, 150, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q1, q2 := planAt(nocache, 150), planAt(nocache, 150)
 	if q1 == q2 {
 		t.Fatal("disabled cache returned a shared plan")
 	}
@@ -235,42 +165,6 @@ func TestEngineProcessCancelledContext(t *testing.T) {
 	}
 	if inUse := eng.PoolStats().InUse(); inUse != 0 {
 		t.Fatalf("pool leak on cancelled run: %d buffers in use", inUse)
-	}
-}
-
-// TestEngineBatchCancellationMidway cancels the context from inside
-// the distortion metric after a few images: the batch must surface
-// context.Canceled and release every pooled buffer it handed out.
-func TestEngineBatchCancellationMidway(t *testing.T) {
-	var imgs []*gray.Image
-	for _, n := range []string{"lena", "baboon", "housea", "splash", "sail", "peppers"} {
-		imgs = append(imgs, testImg(t, n))
-	}
-	eng := NewEngine(EngineOptions{PlanCacheSize: -1})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var calls atomic.Int64
-	cancellingMetric := func(a, b *gray.Image) (float64, error) {
-		if calls.Add(1) >= 2 {
-			cancel()
-		}
-		// Surface the cancellation from inside the pipeline so the test
-		// is deterministic regardless of worker scheduling.
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return chart.UQIMetric(a, b)
-	}
-	opts := Options{DynamicRange: 150, Metric: cancellingMetric}
-	res, err := eng.ProcessBatch(ctx, imgs, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatal("cancelled batch must not return results")
-	}
-	if inUse := eng.PoolStats().InUse(); inUse != 0 {
-		t.Fatalf("pool leak after cancelled batch: %d buffers in use", inUse)
 	}
 }
 
@@ -309,49 +203,50 @@ func TestEngineProcessColorRelease(t *testing.T) {
 	}
 }
 
+// benchPlan solves lena's plan at range 150 for the apply benchmarks.
+func benchPlan(b *testing.B, img *gray.Image) *Plan {
+	b.Helper()
+	plan, err := planFromHistogramCtx(context.Background(), nil, histogram.Of(img), 150,
+		driver.DefaultConfig.Sources, nil, EqualizerGHE, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan
+}
+
+// BenchmarkEngineApplyGray is the engine's gray apply: Λ through the
+// sharded packed kernel into a reused frame buffer.
 func BenchmarkEngineApplyGray(b *testing.B) {
 	img, err := sipi.Generate("lena", 128, 128)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := NewEngine(EngineOptions{})
-	ctx := context.Background()
-	h := histogram.Of(img)
-	plan, err := eng.PlanFor(ctx, h, 150, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := benchPlan(b, img)
+	out := gray.New(img.W, img.H)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := eng.Apply(ctx, plan, img)
-		if err != nil {
+		if err := plan.Lambda.ApplyIntoShards(img, out, 1); err != nil {
 			b.Fatal(err)
 		}
-		eng.ReleaseImage(out)
 	}
 }
 
+// BenchmarkEngineApplyRGB is ProcessColor's color apply: Λ over the
+// interleaved plane through the sharded packed kernel.
 func BenchmarkEngineApplyRGB(b *testing.B) {
 	base, err := sipi.Generate("lena", 128, 128)
 	if err != nil {
 		b.Fatal(err)
 	}
 	img := rgb.FromGray(base)
-	eng := NewEngine(EngineOptions{})
-	ctx := context.Background()
-	h := histogram.Of(base)
-	plan, err := eng.PlanFor(ctx, h, 150, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := benchPlan(b, base)
+	out := rgb.New(img.W, img.H)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := eng.ApplyColor(ctx, plan, img)
-		if err != nil {
+		if err := img.ApplyLUTIntoShards(plan.Lambda, out, 1); err != nil {
 			b.Fatal(err)
 		}
-		eng.ReleaseColorImage(out)
 	}
 }

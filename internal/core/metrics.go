@@ -31,16 +31,16 @@ var pipelineStages = []string{
 var (
 	mFramesTotal  = obs.NewCounter("core.frames_total")
 	mColorFrames  = obs.NewCounter("core.color_frames_total")
-	mBatchesTotal = obs.NewCounter("core.batches_total")
-	mBatchImages  = obs.NewCounter("core.batch_images_total")
 	mCurveLookups = obs.NewCounter("core.default_curve_lookups_total")
 	mCurveBuilds  = obs.NewCounter("core.default_curve_builds_total")
 
-	// Plan-LRU behaviour across all engines with caching enabled:
-	// hits are frames whose Plan was reused byte-identically from a
-	// matching recent histogram.
-	mPlanCacheHits   = obs.NewCounter("core.plan_cache_hits_total")
-	mPlanCacheMisses = obs.NewCounter("core.plan_cache_misses_total")
+	// Plan-cache behaviour across all stripes and all engines with
+	// caching enabled: hits are frames whose Plan was reused
+	// byte-identically from a matching recent histogram, evictions the
+	// LRU entries dropped by a full stripe.
+	mPlanCacheHits      = obs.NewCounter("core.plan_cache_hits_total")
+	mPlanCacheMisses    = obs.NewCounter("core.plan_cache_misses_total")
+	mPlanCacheEvictions = obs.NewCounter("core.plan_cache.evictions_total")
 
 	// Occupancy and capacity of the process-wide plan cache. Every
 	// store and eviction adjusts the entries gauge by one, so it tracks

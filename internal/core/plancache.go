@@ -15,12 +15,10 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"hebs/internal/driver"
 	"hebs/internal/histogram"
-	"hebs/internal/obs"
 )
 
 const (
@@ -85,14 +83,12 @@ func planHash(h *histogram.Histogram, r, segments int, eq Equalizer, clipBits ui
 	return x
 }
 
-// planShard is one stripe of the process-wide cache: an LRU plus its
-// own hit/miss/eviction counters (exported through the obs registry as
-// core.plan_cache.shardNN.*).
+// planShard is one stripe of the process-wide cache: an LRU. Hits,
+// misses and evictions are counted across stripes in the aggregate
+// core.plan_cache_* counters.
 type planShard struct {
 	mu      sync.Mutex
 	entries []*planEntry // LRU order: most recently used last
-
-	hits, misses, evictions *obs.Counter
 }
 
 // planShards is the process-wide hash-striped plan cache.
@@ -101,21 +97,12 @@ type planShards struct {
 }
 
 // globalPlanCache is the cache every engine with caching enabled
-// uses. Its per-shard counters are registered eagerly so the metric
-// set is stable from process start.
+// uses.
 var globalPlanCache = newPlanShards()
 
 func newPlanShards() *planShards {
-	s := &planShards{}
-	for i := range s.shards {
-		// Runtime-built names; they satisfy the ^[a-z][a-z0-9_.]*$
-		// grammar the metricname analyzer enforces on literals.
-		s.shards[i].hits = obs.NewCounter(fmt.Sprintf("core.plan_cache.shard%02d.hits_total", i))
-		s.shards[i].misses = obs.NewCounter(fmt.Sprintf("core.plan_cache.shard%02d.misses_total", i))
-		s.shards[i].evictions = obs.NewCounter(fmt.Sprintf("core.plan_cache.shard%02d.evictions_total", i))
-	}
 	gPlanCacheCapacity.Set(planCacheShards * planShardCap)
-	return s
+	return &planShards{}
 }
 
 // shardFor picks the stripe from the hash's top bits — FNV-1a's
@@ -136,10 +123,10 @@ func (s *planShards) lookup(hash uint64, h *histogram.Histogram, r, segments int
 		}
 		copy(sh.entries[i:], sh.entries[i+1:])
 		sh.entries[len(sh.entries)-1] = e
-		sh.hits.Inc()
+		mPlanCacheHits.Inc()
 		return e.plan
 	}
-	sh.misses.Inc()
+	mPlanCacheMisses.Inc()
 	return nil
 }
 
@@ -154,7 +141,7 @@ func (s *planShards) store(hash uint64, h *histogram.Histogram, r, segments int,
 	if len(sh.entries) >= planShardCap {
 		n := copy(sh.entries, sh.entries[1:])
 		sh.entries = sh.entries[:n]
-		sh.evictions.Inc()
+		mPlanCacheEvictions.Inc()
 		gPlanCacheEntries.Add(-1)
 	}
 	sh.entries = append(sh.entries, e)

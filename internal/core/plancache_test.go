@@ -51,12 +51,13 @@ func TestPlanShardsExactMatch(t *testing.T) {
 }
 
 // TestPlanShardsEvictionAndMetrics: overfilling one stripe evicts LRU
-// entries, counts evictions on that shard's counter, and keeps the
-// global entries gauge consistent.
+// entries, counts them on the aggregate eviction counter, and keeps
+// the aggregate hit/miss counters and the global entries gauge
+// consistent.
 func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 	s := newPlanShards()
 	sh := &s.shards[3]
-	hits0, misses0, evict0 := sh.hits.Value(), sh.misses.Value(), sh.evictions.Value()
+	hits0, misses0, evict0 := mPlanCacheHits.Value(), mPlanCacheMisses.Value(), mPlanCacheEvictions.Value()
 	gauge0 := gPlanCacheEntries.Value()
 
 	// Craft hashes that land on shard 3 (top 4 bits = 3) while keeping
@@ -69,7 +70,7 @@ func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 	if got := len(sh.entries); got != planShardCap {
 		t.Fatalf("shard holds %d entries, want cap %d", got, planShardCap)
 	}
-	if got := sh.evictions.Value() - evict0; got != 4 {
+	if got := mPlanCacheEvictions.Value() - evict0; got != 4 {
 		t.Errorf("evictions %d, want 4", got)
 	}
 	// The 4 oldest entries are gone; the newest still hit.
@@ -79,11 +80,11 @@ func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 	if got := s.lookup(shardHash, h, 2+planShardCap+3, 8, nil, EqualizerGHE, 0); got == nil {
 		t.Error("newest entry missing")
 	}
-	if got := sh.hits.Value() - hits0; got != 1 {
-		t.Errorf("shard hits %d, want 1", got)
+	if got := mPlanCacheHits.Value() - hits0; got != 1 {
+		t.Errorf("hits %d, want 1", got)
 	}
-	if got := sh.misses.Value() - misses0; got != 1 {
-		t.Errorf("shard misses %d, want 1", got)
+	if got := mPlanCacheMisses.Value() - misses0; got != 1 {
+		t.Errorf("misses %d, want 1", got)
 	}
 	if got := gPlanCacheEntries.Value() - gauge0; got != planShardCap {
 		t.Errorf("entries gauge moved by %v, want %d", got, planShardCap)
@@ -141,6 +142,7 @@ func TestPlanShardsEntriesGauge(t *testing.T) {
 		return n
 	}
 	gauge0, occ0 := gPlanCacheEntries.Value(), occupancy()
+	evict0 := mPlanCacheEvictions.Value()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -155,11 +157,7 @@ func TestPlanShardsEntriesGauge(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	var evictions int64
-	for i := range s.shards {
-		evictions += s.shards[i].evictions.Value()
-	}
-	if evictions == 0 {
+	if mPlanCacheEvictions.Value() == evict0 {
 		t.Fatal("burst evicted nothing; the test needs evictions")
 	}
 	if got, want := gPlanCacheEntries.Value()-gauge0, float64(occupancy()-occ0); got != want { //hebslint:allow floateq

@@ -3,8 +3,9 @@
 // loads and stores. The packed kernel moves pixels eight at a time:
 // one uint64 load, eight in-register byte extractions through the LUT,
 // one uint64 store. The per-byte table indexing is unchanged, so the
-// output is byte-identical to the scalar loop on every input — the
-// fused video fast path relies on that equality.
+// output is byte-identical to the scalar loop on every input. It is
+// the only LUT remap kernel: every gray and color remap in transform
+// and rgb, sharded or not, and the zoned rect apply run through it.
 package gray
 
 import "encoding/binary"
@@ -17,9 +18,12 @@ import "encoding/binary"
 //
 //hebs:noalloc
 func ApplyLUTPacked(dst, src []uint8, lut *[256]uint8) {
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
+	// Advancing both slices (rather than indexing at i) lets the
+	// compiler drop the per-word bounds checks, which keeps the kernel
+	// level with the scalar loop on small frames.
+	dst = dst[:len(src)]
+	for len(src) >= 8 {
+		w := binary.LittleEndian.Uint64(src)
 		o := uint64(lut[w&0xff]) |
 			uint64(lut[w>>8&0xff])<<8 |
 			uint64(lut[w>>16&0xff])<<16 |
@@ -28,9 +32,10 @@ func ApplyLUTPacked(dst, src []uint8, lut *[256]uint8) {
 			uint64(lut[w>>40&0xff])<<40 |
 			uint64(lut[w>>48&0xff])<<48 |
 			uint64(lut[w>>56])<<56
-		binary.LittleEndian.PutUint64(dst[i:], o)
+		binary.LittleEndian.PutUint64(dst, o)
+		src, dst = src[8:], dst[8:]
 	}
-	for i := n; i < len(src); i++ {
-		dst[i] = lut[src[i]]
+	for i, p := range src {
+		dst[i] = lut[p]
 	}
 }

@@ -26,16 +26,18 @@ type FrameRecord struct {
 	// HistHash is an FNV-1a hash of the frame's 256-bin histogram
 	// (0 when the pipeline did not extract one on this path).
 	HistHash uint64 `json:"hist_hash,omitempty"`
-	// PlanCached reports whether the frame's Plan came from the
-	// engine's LRU rather than a fresh equalize/plc solve.
+	// PlanCached reports whether the frame's Plan came from the plan
+	// cache rather than a fresh equalize/plc solve. Always false on a
+	// FusedApply frame, which makes no engine call.
 	PlanCached bool `json:"plan_cached,omitempty"`
 	// Governor decisions, mirroring the per-frame counters.
 	RangeReused bool `json:"range_reused,omitempty"`
 	CutSnap     bool `json:"cut_snap,omitempty"`
 	SlewLimited bool `json:"slew_limited,omitempty"`
-	// FusedApply reports the delta fast path: the frame's histogram was
-	// maintained incrementally, its measurements were memoized from the
-	// previous identical frame, and Λ ran as one packed traversal.
+	// FusedApply reports the delta fast path: the frame's pixels were
+	// certified identical to a measured frame's at the same applied
+	// range, so its measurements were copied from that frame and it
+	// made no engine call (no plan, apply or measurement).
 	FusedApply bool `json:"fused_apply,omitempty"`
 	// TileChangeRatio is changed/total tiles of the delta analysis for
 	// this frame (0 when delta analysis is off or nothing changed).

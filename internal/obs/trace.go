@@ -37,7 +37,7 @@ type SpanData struct {
 }
 
 // Sink consumes completed spans. Implementations must be safe for
-// concurrent use: batch and video pipelines end spans from many
+// concurrent use: the video walk and the zone grid end spans from many
 // goroutines.
 type Sink interface {
 	SpanEnd(SpanData)

@@ -1,9 +1,8 @@
 // Package parallel is the engine's shared concurrency substrate: a
 // bounded, context-aware worker pool with ordered result slots. Every
-// fan-out in the system — batch processing, the experiment suite, the
-// pipelined video scheduler, the zone grid and the sharded pixel
-// kernels — runs through the two primitives here instead of re-growing
-// its own goroutine pool.
+// fan-out in the system — the experiment suite, the video frame walk,
+// the zone grid and the sharded pixel kernels — runs through the two
+// primitives here instead of re-growing its own goroutine pool.
 //
 // The determinism contract all callers rely on: work is identified by
 // index, results are written into caller-owned per-index slots, and any
@@ -20,7 +19,7 @@ import (
 )
 
 // Workers resolves a requested worker count against a job count:
-// n <= 0 selects GOMAXPROCS (the historical default of the batch and
+// n <= 0 selects GOMAXPROCS (the historical default of the
 // experiment fan-outs), and the result is clamped to [1, jobs] so a
 // small fan-out never spawns idle goroutines.
 func Workers(n, jobs int) int {
@@ -170,15 +169,25 @@ func Shard(n, shards int, fn func(shard, lo, hi int)) int {
 		return 1
 	}
 	mShardFanouts.Inc()
-	var wg sync.WaitGroup
+	wg := shardGroups.Get().(*sync.WaitGroup)
+	wg.Add(shards - 1)
 	for s := 0; s < shards-1; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			fn(s, s*n/shards, (s+1)*n/shards)
-		}(s)
+		go runShard(wg, fn, s, s*n/shards, (s+1)*n/shards)
 	}
 	fn(shards-1, (shards-1)*n/shards, n)
 	wg.Wait()
+	shardGroups.Put(wg)
 	return shards
+}
+
+// shardGroups pools Shard's WaitGroups. Together with runShard taking
+// its arguments by value, a fan-out costs one small allocation per
+// spawned goroutine — the sharded pixel kernels fan out several times
+// per frame, so the fixed cost shows up in allocations per frame.
+var shardGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
+// runShard runs one spawned shard of Shard.
+func runShard(wg *sync.WaitGroup, fn func(shard, lo, hi int), s, lo, hi int) {
+	defer wg.Done()
+	fn(s, lo, hi)
 }

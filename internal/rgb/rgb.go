@@ -85,12 +85,11 @@ func (m *Image) Luma() *gray.Image {
 
 // ApplyLUT drives all three channels through the same transfer
 // function — exactly what the shared source-driver ladder does in
-// hardware.
+// hardware. The interleaved plane is one byte stream, remapped by the
+// word-packed kernel gray.ApplyLUTPacked.
 func (m *Image) ApplyLUT(lut *transform.LUT) *Image {
 	out := New(m.W, m.H)
-	for i, p := range m.Pix {
-		out.Pix[i] = lut[p]
-	}
+	gray.ApplyLUTPacked(out.Pix, m.Pix, (*[transform.Levels]uint8)(lut))
 	return out
 }
 
@@ -104,9 +103,7 @@ func (m *Image) ApplyLUTInto(lut *transform.LUT, dst *Image) error {
 		return fmt.Errorf("rgb: ApplyLUTInto geometry mismatch %dx%d vs %dx%d",
 			m.W, m.H, dst.W, dst.H)
 	}
-	for i, p := range m.Pix {
-		dst.Pix[i] = lut[p]
-	}
+	gray.ApplyLUTPacked(dst.Pix, m.Pix, (*[transform.Levels]uint8)(lut))
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hebs/internal/gray"
 	"hebs/internal/parallel"
 	"hebs/internal/transform"
 )
@@ -39,11 +40,7 @@ func (m *Image) ApplyLUTIntoShards(lut *transform.LUT, dst *Image, shards int) e
 			m.W, m.H, dst.W, dst.H)
 	}
 	parallel.Shard(len(m.Pix), shards, func(_, lo, hi int) {
-		sp := m.Pix[lo:hi]
-		dp := dst.Pix[lo:hi]
-		for i, p := range sp {
-			dp[i] = lut[p]
-		}
+		gray.ApplyLUTPacked(dst.Pix[lo:hi], m.Pix[lo:hi], (*[transform.Levels]uint8)(lut))
 	})
 	return nil
 }

@@ -7,31 +7,43 @@ import (
 	"hebs/internal/transform"
 )
 
-// TestApplyLUTIntoShardsEqualsSerial: the sharded color remap is
-// byte-equal to ApplyLUTInto across frame sizes on both sides of the
-// work-floor gate and across shard counts.
+// TestApplyLUTIntoShardsEqualsSerial: ApplyLUT, ApplyLUTInto and the
+// sharded color remap are byte-equal to a plain per-byte loop over the
+// interleaved plane, across frame sizes on both sides of the 32K-byte
+// work floor (byte counts not divisible by 8, up to seven shards with
+// mid-word band bounds) and across shard counts.
 func TestApplyLUTIntoShardsEqualsSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var lut transform.LUT
 	for i := range lut {
 		lut[i] = uint8(rng.Intn(256))
 	}
-	for _, sh := range []struct{ w, h int }{{1, 1}, {64, 64}, {200, 200}, {257, 129}} {
+	for _, sh := range []struct{ w, h int }{{1, 1}, {13, 7}, {105, 104}, {111, 101}, {203, 377}} {
 		src := New(sh.w, sh.h)
 		for i := range src.Pix {
 			src.Pix[i] = uint8(rng.Intn(256))
 		}
-		want := New(sh.w, sh.h)
-		if err := src.ApplyLUTInto(&lut, want); err != nil {
+		want := make([]uint8, len(src.Pix))
+		for i := range src.Pix {
+			want[i] = lut[src.Pix[i]]
+		}
+		if got := src.ApplyLUT(&lut); string(got.Pix) != string(want) {
+			t.Fatalf("%dx%d: ApplyLUT differs from the scalar oracle", sh.w, sh.h)
+		}
+		into := New(sh.w, sh.h)
+		if err := src.ApplyLUTInto(&lut, into); err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{0, 1, 2, 5, 64} {
+		if string(into.Pix) != string(want) {
+			t.Fatalf("%dx%d: ApplyLUTInto differs from the scalar oracle", sh.w, sh.h)
+		}
+		for _, shards := range []int{0, 1, 2, 3, 7, 64} {
 			got := New(sh.w, sh.h)
 			if err := src.ApplyLUTIntoShards(&lut, got, shards); err != nil {
 				t.Fatalf("%dx%d shards=%d: %v", sh.w, sh.h, shards, err)
 			}
-			if !got.Equal(want) {
-				t.Fatalf("%dx%d shards=%d: sharded remap differs from serial", sh.w, sh.h, shards)
+			if string(got.Pix) != string(want) {
+				t.Fatalf("%dx%d shards=%d: sharded remap differs from the scalar oracle", sh.w, sh.h, shards)
 			}
 		}
 	}

@@ -6,30 +6,32 @@ import (
 	"hebs/internal/gray"
 )
 
-// TestApplyIntoPackedMatchesScalar: ApplyIntoPacked must be
-// byte-identical to ApplyInto on every geometry, including widths not
-// divisible by 8 where the packed kernel's scalar tail runs every row.
+// TestApplyIntoPackedMatchesScalar: Apply, ApplyInto and
+// ApplyIntoPacked must be byte-identical to the scalar oracle on every
+// geometry, including pixel counts not divisible by 8 where the packed
+// kernel's scalar tail runs.
 func TestApplyIntoPackedMatchesScalar(t *testing.T) {
 	var lut LUT
 	for i := range lut {
 		lut[i] = uint8((i * 201) % Levels)
 	}
-	for _, g := range []struct{ w, h int }{{8, 8}, {13, 7}, {1, 1}, {17, 3}, {64, 48}, {100, 33}} {
+	sizes := append([]struct{ w, h int }{{8, 8}, {17, 3}, {64, 48}, {100, 33}}, kernelSizes...)
+	for _, g := range sizes {
 		src := gray.New(g.w, g.h)
 		for i := range src.Pix {
 			src.Pix[i] = uint8(i*53 + 11)
 		}
-		want := gray.New(g.w, g.h)
-		if err := lut.ApplyInto(src, want); err != nil {
+		want := scalarRemap(&lut, src.Pix)
+		into, packed := gray.New(g.w, g.h), gray.New(g.w, g.h)
+		if err := lut.ApplyInto(src, into); err != nil {
 			t.Fatal(err)
 		}
-		got := gray.New(g.w, g.h)
-		if err := lut.ApplyIntoPacked(src, got); err != nil {
+		if err := lut.ApplyIntoPacked(src, packed); err != nil {
 			t.Fatal(err)
 		}
-		for i := range got.Pix {
-			if got.Pix[i] != want.Pix[i] {
-				t.Fatalf("%dx%d: pixel %d: packed %d, scalar %d", g.w, g.h, i, got.Pix[i], want.Pix[i])
+		for name, got := range map[string]*gray.Image{"Apply": lut.Apply(src), "ApplyInto": into, "ApplyIntoPacked": packed} {
+			if string(got.Pix) != string(want) {
+				t.Fatalf("%dx%d: %s differs from the scalar oracle", g.w, g.h, name)
 			}
 		}
 	}

@@ -2,8 +2,8 @@
 // output byte depends on exactly one input byte — so any partition of
 // the pixel slice produces the same image. ApplyIntoShards splits the
 // scan into contiguous pixel bands (whole cache lines per worker, no
-// false sharing on the destination) and is defined to be byte-equal to
-// ApplyInto on every input.
+// false sharing on the destination), each band remapped by the packed
+// kernel, and is defined to be byte-equal to ApplyInto on every input.
 package transform
 
 import (
@@ -39,11 +39,7 @@ func (l *LUT) ApplyIntoShards(src, dst *gray.Image, shards int) error {
 			src.W, src.H, dst.W, dst.H)
 	}
 	parallel.Shard(len(src.Pix), shards, func(_, lo, hi int) {
-		sp := src.Pix[lo:hi]
-		dp := dst.Pix[lo:hi]
-		for i, p := range sp {
-			dp[i] = l[p]
-		}
+		gray.ApplyLUTPacked(dst.Pix[lo:hi], src.Pix[lo:hi], (*[Levels]uint8)(l))
 	})
 	return nil
 }

@@ -25,12 +25,11 @@ const Levels = 256
 type LUT [Levels]uint8
 
 // Apply transforms every pixel of src through the LUT, returning a new
-// image.
+// image. Every LUT remap in this package runs the word-packed kernel
+// gray.ApplyLUTPacked (eight pixels per load and store).
 func (l *LUT) Apply(src *gray.Image) *gray.Image {
 	out := gray.New(src.W, src.H)
-	for i, p := range src.Pix {
-		out.Pix[i] = l[p]
-	}
+	gray.ApplyLUTPacked(out.Pix, src.Pix, (*[Levels]uint8)(l))
 	return out
 }
 
@@ -45,11 +44,13 @@ func (l *LUT) ApplyInto(src, dst *gray.Image) error {
 		return fmt.Errorf("transform: ApplyInto geometry mismatch %dx%d vs %dx%d",
 			src.W, src.H, dst.W, dst.H)
 	}
-	for i, p := range src.Pix {
-		dst.Pix[i] = l[p]
-	}
+	gray.ApplyLUTPacked(dst.Pix, src.Pix, (*[Levels]uint8)(l))
 	return nil
 }
+
+// ApplyIntoPacked is ApplyInto under the name the perfbench apply
+// layer calls.
+func (l *LUT) ApplyIntoPacked(src, dst *gray.Image) error { return l.ApplyInto(src, dst) }
 
 // IsMonotone reports whether the LUT is non-decreasing — the paper
 // requires Φ to be monotonic so that grayscale ordering (and hence

@@ -10,14 +10,10 @@ import (
 
 // TestProcessEmitsPerFrameSpans verifies the per-frame span timeline:
 // one video.frame child per frame under the video.Process root, each
-// holding its core.Process run, annotated with the policy decision —
-// and, with the exact search on, every range search attributed to its
+// holding its core.Process run with and without delta analysis,
+// annotated with the policy decision — and, with the exact search on, every range search attributed to its
 // frame (checkRangeSearchAttribution).
 func TestProcessEmitsPerFrameSpans(t *testing.T) {
-	c := obs.NewCollector()
-	prev := obs.SetSink(c)
-	defer obs.SetSink(prev)
-
 	img, err := sipi.Generate("autumn", 64, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -26,23 +22,41 @@ func TestProcessEmitsPerFrameSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Process(seq, Policy{
-		MaxStep: 0.02,
-		Options: core.Options{DynamicRange: 150},
-	}); err != nil {
-		t.Fatal(err)
+	// With delta analysis on, the pan's frames all move, so none fuses
+	// and every frame must still own its core.Process run.
+	for _, delta := range []bool{false, true} {
+		c := obs.NewCollector()
+		prev := obs.SetSink(c)
+		_, err := Process(seq, Policy{
+			MaxStep:       0.02,
+			DeltaAnalysis: delta,
+			Options:       core.Options{DynamicRange: 150},
+		})
+		obs.SetSink(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFrameSpans(t, c, delta)
 	}
+	checkRangeSearchAttribution(t, seq)
+}
+
+// checkFrameSpans asserts the per-frame span timeline of one 4-frame
+// run: one video.frame child per frame under the video.Process root,
+// each annotated with its applied β and holding a core.Process run.
+func checkFrameSpans(t *testing.T, c *obs.Collector, delta bool) {
+	t.Helper()
 	var rootID uint64
 	for _, s := range c.Spans() {
 		if s.Name == "video.Process" {
 			rootID = s.ID
 			if s.Attrs["frames"] != 4 {
-				t.Errorf("root attrs = %v, want frames=4", s.Attrs)
+				t.Errorf("delta=%v: root attrs = %v, want frames=4", delta, s.Attrs)
 			}
 		}
 	}
 	if rootID == 0 {
-		t.Fatal("no video.Process span")
+		t.Fatalf("delta=%v: no video.Process span", delta)
 	}
 	frameSpans := map[int]obs.SpanData{}
 	for _, s := range c.Spans() {
@@ -50,21 +64,20 @@ func TestProcessEmitsPerFrameSpans(t *testing.T) {
 			continue
 		}
 		if s.Parent != rootID {
-			t.Errorf("frame span parented under %d, want root %d", s.Parent, rootID)
+			t.Errorf("delta=%v: frame span parented under %d, want root %d", delta, s.Parent, rootID)
 		}
 		idx, ok := s.Attrs["frame"].(int)
 		if !ok {
-			t.Fatalf("frame span lacks frame attr: %v", s.Attrs)
+			t.Fatalf("delta=%v: frame span lacks frame attr: %v", delta, s.Attrs)
 		}
 		frameSpans[idx] = s
 		if _, ok := s.Attrs["applied_beta"]; !ok {
-			t.Errorf("frame %d missing applied_beta attr: %v", idx, s.Attrs)
+			t.Errorf("delta=%v: frame %d missing applied_beta attr: %v", delta, idx, s.Attrs)
 		}
 	}
 	if len(frameSpans) != 4 {
-		t.Fatalf("got %d frame spans, want 4", len(frameSpans))
+		t.Fatalf("delta=%v: got %d frame spans, want 4", delta, len(frameSpans))
 	}
-	// Each frame owns at least one nested pipeline run.
 	runsByParent := map[uint64]int{}
 	for _, s := range c.Spans() {
 		if s.Name == "core.Process" {
@@ -73,11 +86,9 @@ func TestProcessEmitsPerFrameSpans(t *testing.T) {
 	}
 	for idx, fs := range frameSpans {
 		if runsByParent[fs.ID] == 0 {
-			t.Errorf("frame %d has no nested core.Process run", idx)
+			t.Errorf("delta=%v: frame %d has no nested core.Process run", delta, idx)
 		}
 	}
-	obs.SetSink(prev)
-	checkRangeSearchAttribution(t, seq)
 }
 
 // checkRangeSearchAttribution runs seq with the exact search on, with

@@ -93,7 +93,7 @@ func serialOracle(t *testing.T, seq *Sequence, pol Policy) *Result {
 	return res
 }
 
-// serialOracleCuts is the oracle for ProcessWithCutDetection: the
+// serialOracleCuts is the oracle for ProcessWithCutDetectionContext: the
 // serial oracle run scene by scene, with the β-jump threshold off and
 // the governor restarting at each detected cut.
 func serialOracleCuts(t *testing.T, seq *Sequence, pol Policy, cutDistance float64) *Result {

@@ -124,10 +124,6 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 	if eng == nil {
 		eng = core.NewEngine(core.EngineOptions{Workers: pol.Workers})
 	}
-	sub := power.DefaultSubsystem
-	if pol.Options.Subsystem != nil {
-		sub = *pol.Options.Subsystem
-	}
 	n := len(seq.Frames)
 	workers := policyWorkers(pol.Workers, n)
 	// The phase closures capture these instead of pol: a Policy is too
@@ -428,24 +424,12 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 		if ds != nil {
 			fsp.SetFloat("tile_change_ratio", st[i].tileRatio)
 		}
-		opts := base
-		opts.Trace = fsp
-		opts.DynamicRange = st[i].applyRange
-		opts.MaxDistortionPercent = 0
-		opts.ExactSearch = false
 		fr := FrameResult{TargetBeta: st[i].target}
 		var planCached bool
 		if st[i].fused {
-			// Fused fast path: cached plan, one packed Λ traversal, and
-			// the measurements copied from the identity run's head (which
-			// the first apply wave already completed) or the pooled
-			// cross-clip record.
-			out, cached, err := eng.FusedApply(ctx, seq.Frames[i], &st[i].hist, st[i].applyRange, opts)
-			if err != nil {
-				return fmt.Errorf("video: frame %d: %w", i, err)
-			}
-			eng.ReleaseImage(out)
-			planCached = cached
+			// Fused fast path: no engine call. The measurements are copied
+			// from the identity run's head (which the first apply wave
+			// already completed) or the pooled cross-clip record.
 			fsp.SetBool("fused_apply", true)
 			mFastPath.Inc()
 			src := dsMeas
@@ -459,15 +443,12 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 			fr.Distortion = src.distortion
 			fr.SavingPercent = src.saving
 		} else {
-			var r *core.Result
-			var err error
-			if ds != nil {
-				// The delta fold already holds this frame's histogram;
-				// skip the engine's per-frame extraction pass.
-				r, err = eng.AnalyzeApply(ctx, seq.Frames[i], &st[i].hist, st[i].applyRange, opts)
-			} else {
-				r, err = eng.Process(ctx, seq.Frames[i], opts)
-			}
+			opts := base
+			opts.Trace = fsp
+			opts.DynamicRange = st[i].applyRange
+			opts.MaxDistortionPercent = 0
+			opts.ExactSearch = false
+			r, err := eng.Process(ctx, seq.Frames[i], opts)
 			if err != nil {
 				if st[i].slew {
 					return fmt.Errorf("video: frame %d (smoothed): %w", i, err)
@@ -477,13 +458,13 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 			fr.Beta = r.Beta
 			fr.Range = r.Range
 			fr.Distortion = r.AchievedDistortion
+			fr.SavingPercent = r.PowerSavingPercent
 			planCached = r.PlanCached
-			saving, err := sub.SavingPercent(seq.Frames[i], r.Transformed, r.Beta)
+			before := r.PowerBefore
 			r.Release()
-			if err != nil {
-				return err
+			if before <= 0 {
+				return fmt.Errorf("power: non-positive baseline power %v", before)
 			}
-			fr.SavingPercent = saving
 		}
 		fsp.SetFloat("target_beta", fr.TargetBeta)
 		fsp.SetFloat("applied_beta", fr.Beta)

@@ -138,20 +138,15 @@ func DetectCutsByTiles(seq *Sequence, tileSize int, threshold float64) ([]int, e
 	return cuts, nil
 }
 
-// ProcessWithCutDetection runs Process with the slew-rate policy, but
-// snaps β at detected scene cuts instead of relying on a β-jump
-// threshold: histogram-level cut detection fires even when the cut
-// happens to land on a similar β (where the β-threshold would not).
-// cutDistance <= 0 selects DefaultCutDistance.
-func ProcessWithCutDetection(seq *Sequence, pol Policy, cutDistance float64) (*Result, error) {
-	return ProcessWithCutDetectionContext(context.Background(), seq, pol, cutDistance)
-}
-
-// ProcessWithCutDetectionContext is ProcessWithCutDetection with
-// cooperative cancellation: a cancellation mid-clip returns the frames
-// of the scenes completed (plus the cancelled scene's completed
-// prefix), aggregated, together with ctx's error. All scenes share one
-// engine so frame buffers and cached plans carry across cuts.
+// ProcessWithCutDetectionContext runs ProcessContext with the
+// slew-rate policy, but snaps β at detected scene cuts instead of
+// relying on a β-jump threshold: histogram-level cut detection fires
+// even when the cut happens to land on a similar β (where the
+// β-threshold would not). cutDistance <= 0 selects DefaultCutDistance.
+// A cancellation mid-clip returns the frames of the scenes completed
+// (plus the cancelled scene's completed prefix), aggregated, together
+// with ctx's error. All scenes share one engine so frame buffers and
+// cached plans carry across cuts.
 func ProcessWithCutDetectionContext(ctx context.Context, seq *Sequence, pol Policy, cutDistance float64) (*Result, error) {
 	if seq == nil || len(seq.Frames) == 0 {
 		return nil, errors.New("video: empty sequence")

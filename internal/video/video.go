@@ -124,10 +124,11 @@ type Policy struct {
 	// frame is diffed against the previous one via per-tile checksums,
 	// only changed tiles are re-binned (subtract-stale/add-fresh keeps
 	// the global histogram exactly equal to a from-scratch scan), and a
-	// frame whose pixels did not change at all is served by the fused
-	// fast path — cached plan, one word-packed Λ traversal, memoized
-	// distortion/power numbers. Outputs are byte-identical to a run
-	// with DeltaAnalysis off; see DESIGN.md "Incremental delta analysis".
+	// frame whose pixels did not change at all is fused when its applied
+	// range matches: it copies an identical frame's β, distortion and
+	// saving and makes no engine call. Outputs are byte-identical to a
+	// run with DeltaAnalysis off; see DESIGN.md "Incremental delta
+	// analysis".
 	DeltaAnalysis bool
 	// TileSize is the delta-analysis tile edge in pixels (0 selects
 	// histogram.DefaultTileSize). Ignored unless DeltaAnalysis is set.
@@ -146,7 +147,7 @@ type Policy struct {
 	// in core.Options.
 	Options core.Options
 	// Engine, when non-nil, runs the per-frame pipeline through the
-	// given engine so its frame-buffer pools and plan LRU persist
+	// given engine so its frame-buffer pools and plan cache persist
 	// across clips — the steady-state zero-allocation path. Nil means
 	// a private engine per Process call (pooling still amortizes
 	// across the clip's frames).
@@ -162,7 +163,7 @@ type Policy struct {
 	// execution".
 	Workers int
 	// frameOffset shifts the frame indices reported on observability
-	// spans; ProcessWithCutDetection sets it so scene-local runs still
+	// spans; ProcessWithCutDetectionContext sets it so scene-local runs still
 	// report clip-global frame numbers.
 	frameOffset int
 }
