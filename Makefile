@@ -47,6 +47,7 @@ FUZZ_TARGETS := \
 	FuzzCoarsen:./internal/plc \
 	FuzzDetectCuts:./internal/video \
 	FuzzOfIntoShards:./internal/histogram \
+	FuzzUQILUT:./internal/quality \
 	FuzzDeltaHistogram:./internal/histogram \
 	FuzzDecodePNM:./internal/imageio \
 	FuzzEncodeDecodePGM:./internal/imageio

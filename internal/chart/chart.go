@@ -93,15 +93,31 @@ func DefaultRanges() []int {
 // remap is exactly what the backlight-scaling contrast compensation
 // (and the viewer's brightness/contrast adaptation) undoes, so only the
 // irreversible merging of grayscale levels registers as distortion.
+//
+// A nil metric is UQIMetric, scored straight from the reconstruction
+// LUT (LUTDistortion); any other metric sees the reconstructed image.
 func TransformDistortion(img *gray.Image, lut *transform.LUT, metric Metric) (float64, error) {
-	if metric == nil {
-		metric = UQIMetric
-	}
 	recon, err := lut.Reconstruction()
 	if err != nil {
 		return 0, err
 	}
+	if metric == nil {
+		return LUTDistortion(img, recon)
+	}
 	return metric(img, recon.Apply(img))
+}
+
+// LUTDistortion is UQIMetric(img, lut[img]) — bit for bit — without
+// materializing the remapped image: quality.UQILUT reads the remapped
+// levels from the 256-entry table.
+//
+//hebs:noalloc
+func LUTDistortion(img *gray.Image, lut *transform.LUT) (float64, error) {
+	q, err := quality.UQILUT(img, (*[transform.Levels]uint8)(lut), quality.UQIOptions{})
+	if err != nil {
+		return 0, err
+	}
+	return quality.DistortionPercent(q), nil
 }
 
 // MergedPixelPercent returns the percentage of pixels whose value is
@@ -194,10 +210,6 @@ func Build(suite []sipi.NamedImage, opts Options) (*Curve, error) {
 			return nil, fmt.Errorf("chart: duplicate target range %d", r)
 		}
 	}
-	metric := opts.Metric
-	if metric == nil {
-		metric = UQIMetric
-	}
 	sub := power.DefaultSubsystem
 	if opts.Subsystem != nil {
 		sub = *opts.Subsystem
@@ -226,7 +238,7 @@ func Build(suite []sipi.NamedImage, opts Options) (*Curve, error) {
 			for i := range jobs {
 				ni := suite[i]
 				for j, r := range sorted {
-					d, s, err := DistortionAtRange(ni.Image, r, metric, sub)
+					d, s, err := DistortionAtRange(ni.Image, r, opts.Metric, sub)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil {

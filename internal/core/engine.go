@@ -324,15 +324,29 @@ func (e *Engine) reconForRange(r int) (*transform.LUT, error) {
 }
 
 // rangeReductionDistortion is chart.RangeReductionDistortion through
-// the engine's reconstruction cache and a caller-provided scratch
-// buffer: numerically identical, allocation-free once warm.
+// the engine's reconstruction cache: numerically identical,
+// allocation-free once warm.
 func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.Metric, scratch *gray.Image) (float64, error) {
 	recon, err := e.reconForRange(r)
 	if err != nil {
 		return 0, err
 	}
+	return e.reconDistortion(img, recon, metric, scratch)
+}
+
+// reconDistortion measures the distortion of displaying recon[img] in
+// place of img. The default metric (nil) is the paper's UQI, scored
+// straight from the LUT; a caller's metric sees the remapped image,
+// written into scratch (nil draws a buffer from the engine pool).
+//
+//hebs:noalloc
+func (e *Engine) reconDistortion(img *gray.Image, recon *transform.LUT, metric chart.Metric, scratch *gray.Image) (float64, error) {
 	if metric == nil {
-		metric = chart.UQIMetric
+		return chart.LUTDistortion(img, recon)
+	}
+	if scratch == nil {
+		scratch = e.getGray(img.W, img.H)
+		defer e.putGray(scratch)
 	}
 	if err := recon.ApplyIntoShards(img, scratch, e.workers); err != nil {
 		return 0, err
@@ -346,11 +360,12 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 // exceed the budget. Bisection ends with lo == hi, and hi is either the
 // last accepted probe — whose distortion is kept as the prediction —
 // or 255, which no probe measures, so only R = 255 costs one more
-// metric pass. scratch is an optional probe buffer of img's geometry (the
-// zoned walk passes each zone slot's persistent buffer); nil draws one
-// from the engine pool.
-func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
-	if scratch == nil {
+// metric pass. The default metric scores each probe straight from its
+// reconstruction LUT; a caller's metric probes through one pooled
+// buffer of img's geometry.
+func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric chart.Metric) (r int, predicted float64, err error) {
+	var scratch *gray.Image
+	if metric != nil {
 		scratch = e.getGray(img.W, img.H)
 		defer e.putGray(scratch)
 	}
@@ -378,9 +393,8 @@ func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric ch
 
 // selectRange performs step 1 (D_max → R): the direct DynamicRange
 // when one is set, the per-image exact search under ExactSearch, else
-// the characteristic curve's admissible range. scratch is the exact
-// search's optional probe buffer (see minRangeExact).
-func (e *Engine) selectRange(img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
+// the characteristic curve's admissible range.
+func (e *Engine) selectRange(img *gray.Image, opts Options) (r int, predicted float64, err error) {
 	if opts.DynamicRange != 0 {
 		if opts.DynamicRange < 1 || opts.DynamicRange > transform.Levels-1 {
 			return 0, 0, fmt.Errorf("core: dynamic range %d outside [1,255]", opts.DynamicRange)
@@ -391,7 +405,7 @@ func (e *Engine) selectRange(img *gray.Image, opts Options, scratch *gray.Image)
 		return 0, 0, errors.New("core: need MaxDistortionPercent > 0 or DynamicRange")
 	}
 	if opts.ExactSearch {
-		return e.minRangeExact(img, opts.MaxDistortionPercent, opts.Metric, scratch)
+		return e.minRangeExact(img, opts.MaxDistortionPercent, opts.Metric)
 	}
 	curve := opts.Curve
 	if curve == nil {
@@ -428,7 +442,7 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 		parent = obs.SpanFromContext(ctx)
 	}
 	_, done := stage(parent, stageRangeSelect)
-	r, predicted, err = e.selectRange(img, opts, nil)
+	r, predicted, err = e.selectRange(img, opts)
 	done.end(err)
 	return r, predicted, err
 }
@@ -459,9 +473,9 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 }
 
 // transformDistortion is chart.TransformDistortion evaluated through
-// the engine's pooled buffers and the plan's cached reconstruction
-// LUT: numerically identical (integer pixel remap + exact integral
-// images), allocation-free in steady state.
+// the plan's cached reconstruction LUT (and, for a caller's metric, the
+// engine's pooled buffers): numerically identical, allocation-free in
+// steady state.
 //
 //hebs:noalloc
 func (e *Engine) transformDistortion(img *gray.Image, plan *Plan, metric chart.Metric) (float64, error) {
@@ -469,15 +483,7 @@ func (e *Engine) transformDistortion(img *gray.Image, plan *Plan, metric chart.M
 	if err != nil {
 		return 0, err
 	}
-	if metric == nil {
-		metric = chart.UQIMetric
-	}
-	displayed := e.getGray(img.W, img.H)
-	defer e.putGray(displayed)
-	if err := recon.ApplyIntoShards(img, displayed, e.workers); err != nil {
-		return 0, err
-	}
-	return metric(img, displayed)
+	return e.reconDistortion(img, recon, metric, nil)
 }
 
 // Process runs the full HEBS pipeline on an image — the one entry for
@@ -517,7 +523,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 		return nil, err
 	}
 	_, rsDone := stage(sp, stageRangeSelect)
-	r, predicted, err := e.selectRange(img, opts, nil)
+	r, predicted, err := e.selectRange(img, opts)
 	rsDone.end(err)
 	if err != nil {
 		return nil, err

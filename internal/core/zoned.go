@@ -24,12 +24,12 @@ import (
 	"fmt"
 
 	"hebs/internal/backlight"
-	"hebs/internal/chart"
 	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/invariant"
 	"hebs/internal/obs"
 	"hebs/internal/power"
+	"hebs/internal/quality"
 	"hebs/internal/transform"
 )
 
@@ -53,6 +53,22 @@ type ZoneGridError struct {
 func (e *ZoneGridError) Error() string {
 	return fmt.Sprintf("core: %dx%d zone grid does not fit a %dx%d frame (every zone needs at least one pixel)",
 		e.Rows, e.Cols, e.W, e.H)
+}
+
+// ZoneWindowError reports a zone grid whose smallest zone is narrower
+// or shorter than the metric window (quality.DefaultWindow): a zone's
+// distortion would fall back to a single window smaller than the
+// paper's 8×8 UQI window, and its range search would chase a
+// degenerate index. ZoneW×ZoneH is the smallest zone.
+type ZoneWindowError struct {
+	Rows, Cols   int
+	W, H         int
+	ZoneW, ZoneH int
+}
+
+func (e *ZoneWindowError) Error() string {
+	return fmt.Sprintf("core: %dx%d zone grid on a %dx%d frame leaves %dx%d zones, below the %dx%d metric window",
+		e.Rows, e.Cols, e.W, e.H, e.ZoneW, e.ZoneH, quality.DefaultWindow, quality.DefaultWindow)
 }
 
 // ZoneFloorLengthError reports an Options.ZoneBetaFloor whose length
@@ -215,9 +231,8 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 			return nil, fmt.Errorf("core: zone %d β floor %v outside [0,1]", k, f)
 		}
 	}
-	metric := opts.Metric
-	if metric == nil {
-		metric = chart.UQIMetric
+	if minW, minH := img.W/g.Cols, img.H/g.Rows; minW < quality.DefaultWindow || minH < quality.DefaultWindow {
+		return nil, &ZoneWindowError{Rows: g.Rows, Cols: g.Cols, W: img.W, H: img.H, ZoneW: minW, ZoneH: minH}
 	}
 
 	parent := opts.Trace
@@ -230,7 +245,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	sp.SetString("backend", b.Name())
 	sp.SetInt("zones", zones)
 
-	return e.processZonedFast(ctx, sp, img, opts, b, g, segments, metric)
+	return e.processZonedFast(ctx, sp, img, opts, b, g, segments)
 }
 
 // betaField is phase B — the serial β-field pass, shared with the

@@ -250,6 +250,46 @@ func TestZonedGridValidation(t *testing.T) {
 	}
 }
 
+// TestZonedWindowValidation: a grid whose zones are narrower or shorter
+// than the metric window is rejected with the typed error, naming the
+// smallest zone; zones of exactly one window are accepted.
+func TestZonedWindowValidation(t *testing.T) {
+	img := spotlight(64, 60)
+	eng := NewEngine(EngineOptions{})
+	opts := Options{MaxDistortionPercent: 5, ExactSearch: true}
+	for _, tc := range []struct {
+		rows, cols   int
+		zoneW, zoneH int
+	}{
+		{60, 64, 1, 1}, // one-pixel zones
+		{8, 9, 7, 7},   // 64/9 = 7 columns, 60/8 = 7 rows
+		{4, 16, 4, 15}, // too narrow only
+		{10, 4, 16, 6}, // too short only
+	} {
+		led, err := backlight.NewLED(backlight.LEDOptions{Rows: tc.rows, Cols: tc.cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we *ZoneWindowError
+		_, err = eng.ProcessZoned(context.Background(), img, opts, led)
+		if !errors.As(err, &we) {
+			t.Fatalf("%dx%d grid returned %v, want *ZoneWindowError", tc.rows, tc.cols, err)
+		}
+		if we.ZoneW != tc.zoneW || we.ZoneH != tc.zoneH {
+			t.Errorf("%dx%d grid: smallest zone %dx%d, want %dx%d", tc.rows, tc.cols, we.ZoneW, we.ZoneH, tc.zoneW, tc.zoneH)
+		}
+	}
+	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 7, Cols: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.ProcessZoned(context.Background(), img, opts, led)
+	if err != nil {
+		t.Fatalf("8x8-pixel zones rejected: %v", err)
+	}
+	res.Release()
+}
+
 // TestZonedSmoothingBoundsGradient: with smoothing on, the applied β
 // field respects the gradient bound (up to one quantization step); a
 // negative ZoneMaxGradient disables the relaxation entirely.

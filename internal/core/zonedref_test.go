@@ -74,7 +74,7 @@ func (e *Engine) processZonedRef(ctx context.Context, sp *obs.Span, img *gray.Im
 		zimg := e.getGray(x1-x0, y1-y0)
 		zs[k] = zoneScratch{x0: x0, y0: y0, x1: x1, y1: y1, img: zimg}
 		copyRect(img, zimg, x0, y0)
-		r, _, err := e.selectRange(zimg, opts, nil)
+		r, _, err := e.selectRange(zimg, opts)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}

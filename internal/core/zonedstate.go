@@ -92,7 +92,6 @@ func zonedKeyFor(opts Options, segments int, b backlight.Backend) (key zonedOptK
 type zoneSlot struct {
 	x0, y0, x1, y1 int
 	img            *gray.Image         // state-owned reference copy of the zone's pixels
-	scratch        *gray.Image         // state-owned zone-sized probe/recon scratch
 	hist           histogram.Histogram // histogram of img
 	r              int                 // analyzed admissible range of img
 	valid          bool                // img/hist/r describe a sealed run's pixels
@@ -158,7 +157,6 @@ func (st *zonedState) configure(w, h int, g backlight.Grid) {
 		z.x0, z.y0, z.x1, z.y1 = x0, y0, x1, y1
 		if z.img == nil || z.img.W != x1-x0 || z.img.H != y1-y0 {
 			z.img = gray.New(x1-x0, y1-y0)
-			z.scratch = gray.New(x1-x0, y1-y0)
 		}
 	}
 	st.rs = grow(st.rs, zones)
@@ -228,7 +226,7 @@ func (st *zonedState) canReplay(k int) bool {
 // shortcuts: unchanged zones skip
 // analysis, operating-point-stable zones replay measurements, and
 // all-replay frames replay the frame distortion.
-func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.Image, opts Options, b backlight.Backend, g backlight.Grid, segments int, metric chart.Metric) (*ZonedResult, error) {
+func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.Image, opts Options, b backlight.Backend, g backlight.Grid, segments int) (*ZonedResult, error) {
 	zones := g.Zones()
 	key, keyOK := zonedKeyFor(opts, segments, b)
 	st := acquireZonedState(img, g, key, keyOK)
@@ -253,7 +251,7 @@ func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.I
 		z.mValid = false
 		z.plan = nil
 		copyRect(img, z.img, z.x0, z.y0)
-		r, _, err := e.selectRange(z.img, opts, z.scratch)
+		r, _, err := e.selectRange(z.img, opts)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -342,10 +340,7 @@ func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.I
 		if err := applyLUTRect(reconLUT, img, recon, z.x0, z.y0, z.x1, z.y1); err != nil {
 			return err
 		}
-		// The zone's own reconstruction is a rectangle of the frame
-		// recon just written — copy it out instead of remapping again.
-		copyRect(recon, z.scratch, z.x0, z.y0)
-		d, err := metric(z.img, z.scratch)
+		d, err := e.reconDistortion(z.img, reconLUT, opts.Metric, nil)
 		if err != nil {
 			return fmt.Errorf("core: zone %d distortion: %w", k, err)
 		}
@@ -395,7 +390,11 @@ func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.I
 		mZonedFrameReplays.Inc()
 		sp.SetBool("zoned_frame_replay", true)
 	} else {
-		res.AchievedDistortion, err = metric(img, recon)
+		frameMetric := opts.Metric
+		if frameMetric == nil {
+			frameMetric = chart.UQIMetric
+		}
+		res.AchievedDistortion, err = frameMetric(img, recon)
 		if err != nil {
 			res.Release()
 			return nil, err

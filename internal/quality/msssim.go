@@ -8,7 +8,6 @@
 package quality
 
 import (
-	"errors"
 	"math"
 
 	"hebs/internal/gray"
@@ -21,33 +20,30 @@ var msssimWeights = []float64{0.0448, 0.2856, 0.3001, 0.2363, 0.1333}
 // contrast·structure term over sliding windows — the factorization
 // MS-SSIM combines across scales.
 func ssimComponents(a, b *gray.Image, opts UQIOptions) (lum, cs float64, err error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, 0, err
-	}
-	opts, err = opts.normalized(a.W, a.H)
+	k, err := pairWalk(a, b, opts)
 	if err != nil {
 		return 0, 0, err
 	}
-	const (
-		c1 = (0.01 * 255) * (0.01 * 255)
-		c2 = (0.03 * 255) * (0.03 * 255)
-	)
-	win, step := opts.Window, opts.Step
-	tables := getSAT(a, b)
-	defer putSAT(tables)
+	defer k.release()
+	win, step := k.win, k.step
 	var sumL, sumCS float64
 	count := 0
-	for y := 0; y+win <= a.H; y += step {
-		for x := 0; x+win <= a.W; x += step {
-			m := tables.moments(x, y, win)
-			mx, my, vx, vy, cov := m.stats()
-			sumL += (2*mx*my + c1) / (mx*mx + my*my + c1)
-			sumCS += (2*cov + c2) / (vx + vy + c2)
+	for k.next() {
+		for x := 0; x+win <= k.w; x += step {
+			mx, my, mxx, myy, mxy := k.means(k.window(x))
+			vx := mxx - mx*mx
+			vy := myy - my*my
+			cov := mxy - mx*my
+			if vx < 0 {
+				vx = 0
+			}
+			if vy < 0 {
+				vy = 0
+			}
+			sumL += (2*mx*my + ssimC1) / (mx*mx + my*my + ssimC1)
+			sumCS += (2*cov + ssimC2) / (vx + vy + ssimC2)
 			count++
 		}
-	}
-	if count == 0 {
-		return 0, 0, errors.New("quality: image smaller than window")
 	}
 	return sumL / float64(count), sumCS / float64(count), nil
 }

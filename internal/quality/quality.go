@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"hebs/internal/gray"
 )
@@ -33,7 +32,7 @@ var ErrShapeMismatch = errors.New("quality: image shapes differ")
 
 func checkPair(a, b *gray.Image) error {
 	if a == nil || b == nil {
-		return errors.New("quality: nil image")
+		return errNilImage
 	}
 	if a.W != b.W || a.H != b.H {
 		return fmt.Errorf("%w: %dx%d vs %dx%d", ErrShapeMismatch, a.W, a.H, b.W, b.H)
@@ -68,63 +67,6 @@ func PSNR(a, b *gray.Image) (float64, error) {
 	return 10 * math.Log10(255.0*255.0/mse), nil
 }
 
-// windowMoments accumulates the first and second moments of an aligned
-// pair of windows.
-type windowMoments struct {
-	n            float64
-	sumX, sumY   float64
-	sumXX, sumYY float64
-	sumXY        float64
-}
-
-func (m *windowMoments) add(x, y float64) {
-	m.n++
-	m.sumX += x
-	m.sumY += y
-	m.sumXX += x * x
-	m.sumYY += y * y
-	m.sumXY += x * y
-}
-
-func (m *windowMoments) stats() (mx, my, vx, vy, cov float64) {
-	mx = m.sumX / m.n
-	my = m.sumY / m.n
-	vx = m.sumXX/m.n - mx*mx
-	vy = m.sumYY/m.n - my*my
-	cov = m.sumXY/m.n - mx*my
-	// Guard tiny negatives from float cancellation.
-	if vx < 0 {
-		vx = 0
-	}
-	if vy < 0 {
-		vy = 0
-	}
-	return
-}
-
-// uqiWindow computes the Q index for a single window following the
-// degenerate-case handling of Wang & Bovik's reference implementation.
-func uqiWindow(m *windowMoments) float64 {
-	mx, my, vx, vy, cov := m.stats()
-	d1 := vx + vy
-	d2 := mx*mx + my*my
-	switch {
-	case d1 < 1e-12 && d2 < 1e-12:
-		// Both windows uniformly black: identical.
-		return 1
-	case d1 < 1e-12:
-		// Both windows flat: only the luminance term is defined.
-		return 2 * mx * my / d2
-	case d2 < 1e-12:
-		// Zero mean energy but nonzero variance cannot occur for
-		// non-negative pixels; defensively return the contrast/structure
-		// product.
-		return 2 * cov / d1
-	default:
-		return 4 * cov * mx * my / (d1 * d2)
-	}
-}
-
 // UQIOptions configures the UQI/SSIM computation.
 type UQIOptions struct {
 	// Window is the square window size (default DefaultWindow).
@@ -142,8 +84,8 @@ func (o UQIOptions) normalized(w, h int) (UQIOptions, error) {
 	if o.Step == 0 {
 		o.Step = 1
 	}
-	if o.Window < 1 || o.Step < 1 {
-		return o, fmt.Errorf("quality: bad options %+v", o)
+	if o.Window < 1 || o.Step < 1 || w < 1 || h < 1 {
+		return o, fmt.Errorf("quality: bad options %+v for a %dx%d image", o, w, h)
 	}
 	if o.Window > w || o.Window > h {
 		// Fall back to a single whole-image window for tiny images.
@@ -160,157 +102,85 @@ func minInt(a, b int) int {
 	return b
 }
 
-// sat holds the five summed-area tables (integral images) needed to
-// evaluate the first and second joint moments of any axis-aligned
-// window pair in O(1): Σx, Σy, Σx², Σy², Σxy. Pixel values are at most
-// 255, so even Σxy over the largest supported image fits comfortably
-// in int64.
-type sat struct {
-	w, h                  int
-	sx, sy, sxx, syy, sxy []int64
-}
-
-// satPools recycles summed-area tables between metric evaluations,
-// one pool per image geometry. The SAT is by far the dominant
-// allocation of a UQI/SSIM call (five (w+1)×(h+1) int64 tables), and
-// the hot callers interleave geometries — the zoned walk alternates
-// zone-sized and frame-sized evaluations every frame, MS-SSIM walks a
-// pyramid — so a single shared pool would evict on every flip and
-// leak the dropped tables to the collector. Keying the pool by (w, h)
-// keeps every active geometry warm; the key set is tiny (a few zone
-// and frame sizes per process), so the map never grows meaningfully.
-var satPools sync.Map // satGeom -> *sync.Pool
-
-type satGeom struct{ w, h int }
-
-// getSAT returns a built summed-area table for the pair, reusing a
-// pooled allocation of the same geometry when one is available.
-func getSAT(a, b *gray.Image) *sat {
-	if p, ok := satPools.Load(satGeom{a.W, a.H}); ok {
-		if v := p.(*sync.Pool).Get(); v != nil {
-			s := v.(*sat)
-			s.resetBorder()
-			s.build(a, b)
-			return s
-		}
-	}
-	return newSAT(a, b)
-}
-
-// newSAT allocates and builds the tables without touching the pool.
-func newSAT(a, b *gray.Image) *sat {
-	w, h := a.W, a.H
-	stride := w + 1
-	s := &sat{
-		w: w, h: h,
-		sx:  make([]int64, stride*(h+1)),
-		sy:  make([]int64, stride*(h+1)),
-		sxx: make([]int64, stride*(h+1)),
-		syy: make([]int64, stride*(h+1)),
-		sxy: make([]int64, stride*(h+1)),
-	}
-	s.build(a, b)
-	return s
-}
-
-func putSAT(s *sat) {
-	p, ok := satPools.Load(satGeom{s.w, s.h})
-	if !ok {
-		p, _ = satPools.LoadOrStore(satGeom{s.w, s.h}, &sync.Pool{})
-	}
-	p.(*sync.Pool).Put(s)
-}
-
-// resetBorder zeroes row 0 and column 0 of each table. build overwrites
-// every interior cell but never touches the zero border the prefix-sum
-// recurrences (and the moments box queries) read.
-func (s *sat) resetBorder() {
-	stride := s.w + 1
-	for _, t := range [...][]int64{s.sx, s.sy, s.sxx, s.syy, s.sxy} {
-		for x := 0; x <= s.w; x++ {
-			t[x] = 0
-		}
-		for y := 1; y <= s.h; y++ {
-			t[y*stride] = 0
-		}
-	}
-}
-
-func (s *sat) build(a, b *gray.Image) {
-	w, h := s.w, s.h
-	stride := w + 1
-	for y := 0; y < h; y++ {
-		var rx, ry, rxx, ryy, rxy int64
-		row := y * w
-		out := (y + 1) * stride
-		prev := y * stride
-		for x := 0; x < w; x++ {
-			av := int64(a.Pix[row+x])
-			bv := int64(b.Pix[row+x])
-			rx += av
-			ry += bv
-			rxx += av * av
-			ryy += bv * bv
-			rxy += av * bv
-			s.sx[out+x+1] = s.sx[prev+x+1] + rx
-			s.sy[out+x+1] = s.sy[prev+x+1] + ry
-			s.sxx[out+x+1] = s.sxx[prev+x+1] + rxx
-			s.syy[out+x+1] = s.syy[prev+x+1] + ryy
-			s.sxy[out+x+1] = s.sxy[prev+x+1] + rxy
-		}
-	}
-}
-
-// moments returns the joint moments of the win×win window anchored at
-// (x, y).
-func (s *sat) moments(x, y, win int) windowMoments {
-	stride := s.w + 1
-	tl := y*stride + x
-	tr := tl + win
-	bl := (y+win)*stride + x
-	br := bl + win
-	box := func(t []int64) float64 {
-		return float64(t[br] - t[tr] - t[bl] + t[tl])
-	}
-	return windowMoments{
-		n:     float64(win * win),
-		sumX:  box(s.sx),
-		sumY:  box(s.sy),
-		sumXX: box(s.sxx),
-		sumYY: box(s.syy),
-		sumXY: box(s.sxy),
-	}
-}
-
 // UQI returns the Universal Image Quality Index between two images,
 // averaged over sliding windows. The result lies in [-1, 1], with 1 for
-// identical images. Window moments are evaluated through summed-area
-// tables, so the cost is O(pixels + windows) rather than
+// identical images. Window moments come from the rolling-window walk,
+// so the cost is O(pixels + windows) rather than
 // O(windows × window area).
 func UQI(a, b *gray.Image, opts UQIOptions) (float64, error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, err
-	}
-	opts, err := opts.normalized(a.W, a.H)
+	k, err := pairWalk(a, b, opts)
 	if err != nil {
 		return 0, err
 	}
-	win, step := opts.Window, opts.Step
-	tables := getSAT(a, b)
-	defer putSAT(tables)
+	defer k.release()
+	return k.uqi(), nil
+}
+
+// UQILUT returns UQI(img, lut[img]) — the index between img and its
+// remap through lut — without materializing the remapped image: the
+// walk reads each level's remapped value, its square and its product
+// with the level from a 256-entry table. Bit-identical to UQI on the
+// applied image for every input.
+//
+//hebs:noalloc
+func UQILUT(img *gray.Image, lut *[256]uint8, opts UQIOptions) (float64, error) {
+	if img == nil || lut == nil {
+		return 0, errNilImage
+	}
+	opts, err := opts.normalized(img.W, img.H)
+	if err != nil {
+		return 0, err
+	}
+	k := walkPool.Get().(*windowWalk)
+	defer k.release()
+	k.setLUT(img.Pix, lut)
+	k.start(img.W, img.H, opts.Window, opts.Step)
+	return k.uqi(), nil
+}
+
+// uqi is the UQI window loop over a started walk: the Q index of each
+// window, following the degenerate-case handling of Wang & Bovik's
+// reference implementation, averaged over all windows.
+//
+//hebs:noalloc
+func (k *windowWalk) uqi() float64 {
+	win, step := k.win, k.step
 	total := 0.0
 	count := 0
-	for y := 0; y+win <= a.H; y += step {
-		for x := 0; x+win <= a.W; x += step {
-			m := tables.moments(x, y, win)
-			total += uqiWindow(&m)
+	for k.next() {
+		for x := 0; x+win <= k.w; x += step {
+			mx, my, mxx, myy, mxy := k.means(k.window(x))
+			vx := mxx - mx*mx
+			vy := myy - my*my
+			cov := mxy - mx*my
+			// Guard tiny negatives from float cancellation.
+			if vx < 0 {
+				vx = 0
+			}
+			if vy < 0 {
+				vy = 0
+			}
+			d1 := vx + vy
+			d2 := mx*mx + my*my
+			switch {
+			case d1 < 1e-12 && d2 < 1e-12:
+				// Both windows uniformly black: identical.
+				total += 1
+			case d1 < 1e-12:
+				// Both windows flat: only the luminance term is defined.
+				total += 2 * mx * my / d2
+			case d2 < 1e-12:
+				// Zero mean energy but nonzero variance cannot occur
+				// for non-negative pixels; defensively use the
+				// contrast/structure product.
+				total += 2 * cov / d1
+			default:
+				total += 4 * cov * mx * my / (d1 * d2)
+			}
 			count++
 		}
 	}
-	if count == 0 {
-		return 0, errors.New("quality: image smaller than window")
-	}
-	return total / float64(count), nil
+	return total / float64(count)
 }
 
 // SSIM returns the Structural Similarity index with the standard
@@ -320,37 +190,40 @@ func UQI(a, b *gray.Image, opts UQIOptions) (float64, error) {
 // behaviour for the backlight-scaling comparisons made here and is what
 // UQI itself uses.)
 func SSIM(a, b *gray.Image, opts UQIOptions) (float64, error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, err
-	}
-	opts, err := opts.normalized(a.W, a.H)
+	k, err := pairWalk(a, b, opts)
 	if err != nil {
 		return 0, err
 	}
-	const (
-		c1 = (0.01 * 255) * (0.01 * 255)
-		c2 = (0.03 * 255) * (0.03 * 255)
-	)
-	win, step := opts.Window, opts.Step
-	tables := getSAT(a, b)
-	defer putSAT(tables)
+	defer k.release()
+	win, step := k.win, k.step
 	total := 0.0
 	count := 0
-	for y := 0; y+win <= a.H; y += step {
-		for x := 0; x+win <= a.W; x += step {
-			m := tables.moments(x, y, win)
-			mx, my, vx, vy, cov := m.stats()
-			num := (2*mx*my + c1) * (2*cov + c2)
-			den := (mx*mx + my*my + c1) * (vx + vy + c2)
+	for k.next() {
+		for x := 0; x+win <= k.w; x += step {
+			mx, my, mxx, myy, mxy := k.means(k.window(x))
+			vx := mxx - mx*mx
+			vy := myy - my*my
+			cov := mxy - mx*my
+			if vx < 0 {
+				vx = 0
+			}
+			if vy < 0 {
+				vy = 0
+			}
+			num := (2*mx*my + ssimC1) * (2*cov + ssimC2)
+			den := (mx*mx + my*my + ssimC1) * (vx + vy + ssimC2)
 			total += num / den
 			count++
 		}
 	}
-	if count == 0 {
-		return 0, errors.New("quality: image smaller than window")
-	}
 	return total / float64(count), nil
 }
+
+// SSIM's stabilizing constants C1=(0.01·L)², C2=(0.03·L)², L=255.
+const (
+	ssimC1 = (0.01 * 255) * (0.01 * 255)
+	ssimC2 = (0.03 * 255) * (0.03 * 255)
+)
 
 // DistortionPercent converts a quality index Q in [-1,1] to the paper's
 // percentage distortion scale D = (1-Q)·100, clamped to [0, 200].
@@ -381,7 +254,7 @@ func UQIDistortion(a, b *gray.Image) (float64, error) {
 // loss of CBCS [5].
 func SaturatedPercent(img *gray.Image, lo, hi uint8) (float64, error) {
 	if img == nil {
-		return 0, errors.New("quality: nil image")
+		return 0, errNilImage
 	}
 	if lo > hi {
 		return 0, fmt.Errorf("quality: inverted band [%d,%d]", lo, hi)

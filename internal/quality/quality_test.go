@@ -7,6 +7,8 @@ import (
 
 	"hebs/internal/gray"
 	"hebs/internal/rng"
+	"hebs/internal/sipi"
+	"hebs/internal/transform"
 )
 
 // noisy returns a deterministic pseudo-natural test image.
@@ -321,8 +323,57 @@ func TestContrastFidelityComplement(t *testing.T) {
 	}
 }
 
+// windowMoments accumulates the first and second moments of an
+// aligned pair of windows, one pixel at a time — the naive oracle's
+// accumulator. Every sum is an integer below 2^53, so the float64
+// accumulation is exact.
+type windowMoments struct {
+	n            float64
+	sumX, sumY   float64
+	sumXX, sumYY float64
+	sumXY        float64
+}
+
+func (m *windowMoments) add(x, y float64) {
+	m.n++
+	m.sumX += x
+	m.sumY += y
+	m.sumXX += x * x
+	m.sumYY += y * y
+	m.sumXY += x * y
+}
+
+// uqiWindow is the Q index of one window with Wang & Bovik's
+// degenerate-case handling, written out separately from the kernel's
+// inlined copy.
+func uqiWindow(m *windowMoments) float64 {
+	mx := m.sumX / m.n
+	my := m.sumY / m.n
+	vx := m.sumXX/m.n - mx*mx
+	vy := m.sumYY/m.n - my*my
+	cov := m.sumXY/m.n - mx*my
+	if vx < 0 {
+		vx = 0
+	}
+	if vy < 0 {
+		vy = 0
+	}
+	d1 := vx + vy
+	d2 := mx*mx + my*my
+	switch {
+	case d1 < 1e-12 && d2 < 1e-12:
+		return 1
+	case d1 < 1e-12:
+		return 2 * mx * my / d2
+	case d2 < 1e-12:
+		return 2 * cov / d1
+	default:
+		return 4 * cov * mx * my / (d1 * d2)
+	}
+}
+
 // uqiNaive recomputes UQI with direct per-window accumulation — the
-// reference the summed-area-table implementation must match exactly.
+// reference the rolling-window walk must match bit for bit.
 func uqiNaive(a, b *gray.Image, win, step int) float64 {
 	total := 0.0
 	count := 0
@@ -343,26 +394,26 @@ func uqiNaive(a, b *gray.Image, win, step int) float64 {
 	return total / float64(count)
 }
 
-func TestUQISATMatchesNaive(t *testing.T) {
+func TestUQIWalkMatchesNaive(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		a := noisy(40, 33, seed*2+1)
 		b := noisy(40, 33, seed*2+2)
-		for _, cfg := range []UQIOptions{{Window: 8, Step: 1}, {Window: 8, Step: 8}, {Window: 5, Step: 3}, {Window: 1, Step: 1}} {
+		for _, cfg := range []UQIOptions{{Window: 8, Step: 1}, {Window: 8, Step: 8}, {Window: 5, Step: 3}, {Window: 1, Step: 1}, {Window: 4, Step: 9}} {
 			got, err := UQI(a, b, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := uqiNaive(a, b, cfg.Window, cfg.Step)
-			if math.Abs(got-want) > 1e-9 {
-				t.Errorf("seed %d cfg %+v: SAT UQI %v != naive %v", seed, cfg, got, want)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("seed %d cfg %+v: walk UQI %v != naive %v", seed, cfg, got, want)
 			}
 		}
 	}
 }
 
-func TestUQISATMatchesNaiveExtremes(t *testing.T) {
+func TestUQIWalkMatchesNaiveExtremes(t *testing.T) {
 	// All-white vs all-black: the largest possible sums, checking the
-	// integral tables don't overflow or lose precision.
+	// rolling sums don't overflow or lose precision.
 	a := gray.New(64, 64)
 	a.Fill(255)
 	b := gray.New(64, 64)
@@ -371,47 +422,214 @@ func TestUQISATMatchesNaiveExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := uqiNaive(a, b, DefaultWindow, 1)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("extreme SAT UQI %v != naive %v", got, want)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("extreme walk UQI %v != naive %v", got, want)
 	}
 }
 
-func TestSATMomentsProperty(t *testing.T) {
+// TestWalkMomentsProperty: at every band the walk stops on, the integer
+// sums of any window equal its direct accumulation — for the image
+// pair and for an image against its LUT.
+func TestWalkMomentsProperty(t *testing.T) {
 	a := noisy(30, 20, 91)
 	b := noisy(30, 20, 92)
-	tables := newSAT(a, b)
-	f := func(xr, yr, wr uint8) bool {
+	var lut [256]uint8
+	for v := range lut {
+		lut[v] = uint8(v*7 + 3) // non-monotone
+	}
+	f := func(xr, yr, wr, sr uint8, useLUT bool) bool {
 		win := int(wr)%10 + 1
-		if win > 20 {
-			return true
-		}
+		step := int(sr)%(2*win) + 1
 		x := int(xr) % (30 - win + 1)
-		y := int(yr) % (20 - win + 1)
-		got := tables.moments(x, y, win)
-		var want windowMoments
+		band := int(yr) % ((20-win)/step + 1)
+		k := walkPool.Get().(*windowWalk)
+		defer k.release()
+		if useLUT {
+			k.setLUT(a.Pix, &lut)
+		} else {
+			k.a, k.b = a.Pix, b.Pix
+		}
+		k.start(a.W, a.H, win, step)
+		for i := 0; i <= band; i++ {
+			if !k.next() {
+				return false
+			}
+		}
+		y := band * step
+		var want moments
 		for dy := 0; dy < win; dy++ {
 			for dx := 0; dx < win; dx++ {
 				i := (y+dy)*a.W + x + dx
-				want.add(float64(a.Pix[i]), float64(b.Pix[i]))
+				xv, yv := int64(a.Pix[i]), int64(b.Pix[i])
+				if useLUT {
+					yv = int64(lut[a.Pix[i]])
+				}
+				want.x += xv
+				want.y += yv
+				want.xx += xv * xv
+				want.yy += yv * yv
+				want.xy += xv * yv
 			}
 		}
-		return got.n == want.n &&
-			got.sumX == want.sumX && got.sumY == want.sumY &&
-			got.sumXX == want.sumXX && got.sumYY == want.sumYY &&
-			got.sumXY == want.sumXY
+		lo, hi := k.prefix[x], k.prefix[x+win]
+		got := moments{hi.x - lo.x, hi.y - lo.y, hi.xx - lo.xx, hi.yy - lo.yy, hi.xy - lo.xy}
+		return k.top == y && got == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func BenchmarkUQISlidingSAT(b *testing.B) {
-	x := noisy(128, 128, 1)
-	y := noisy(128, 128, 2)
+// uqiLUTApplied is UQILUT's reference: materialize lut[img], then run
+// the two-image UQI.
+func uqiLUTApplied(t testing.TB, img *gray.Image, lut *[256]uint8, opts UQIOptions) float64 {
+	t.Helper()
+	applied := img.Map(func(p uint8) uint8 { return lut[p] })
+	q, err := UQI(img, applied, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestUQILUTMatchesApplied: scoring a reconstruction LUT directly is
+// bit-identical to scoring the reconstructed image, for every target
+// range the exact search can probe, on the benchmark suite and on
+// geometries that stress the walk's edges (sides not divisible by the
+// window, images smaller than it, strides that skip rows).
+func TestUQILUTMatchesApplied(t *testing.T) {
+	suite, err := sipi.Suite(256, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := noisy(37, 29, 5)
+	tiny := noisy(5, 3, 6)
+	for r := 2; r <= transform.Levels-1; r++ {
+		lut, err := transform.ScaleToRange(0, uint8(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recon, err := lut.Reconstruction()
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := (*[256]uint8)(recon)
+		check := func(name string, img *gray.Image, opts UQIOptions) {
+			got, err := UQILUT(img, table, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := uqiLUTApplied(t, img, table, opts)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s R=%d %+v: UQILUT %v != UQI on the applied image %v", name, r, opts, got, want)
+			}
+		}
+		for _, ni := range suite {
+			check(ni.Name, ni.Image, UQIOptions{})
+		}
+		for _, step := range []int{1, 3, 8} {
+			check("odd", odd, UQIOptions{Step: step})
+			check("tiny", tiny, UQIOptions{Step: step})
+		}
+	}
+}
+
+func TestUQILUTRejectsBadInput(t *testing.T) {
+	var lut [256]uint8
+	if _, err := UQILUT(nil, &lut, UQIOptions{}); err == nil {
+		t.Error("nil image should error")
+	}
+	if _, err := UQILUT(gray.New(8, 8), nil, UQIOptions{}); err == nil {
+		t.Error("nil LUT should error")
+	}
+	if _, err := UQILUT(gray.New(8, 8), &lut, UQIOptions{Step: -1}); err == nil {
+		t.Error("negative step should error")
+	}
+	// An empty image has no window; the walk must refuse it rather
+	// than loop on a zero stride.
+	if _, err := UQILUT(&gray.Image{}, &lut, UQIOptions{}); err == nil {
+		t.Error("empty image should error")
+	}
+	if _, err := UQI(&gray.Image{}, &gray.Image{}, UQIOptions{}); err == nil {
+		t.Error("empty image pair should error")
+	}
+}
+
+// FuzzUQILUT draws a geometry, pixels, an arbitrary (non-monotone)
+// LUT, a window and a stride, and requires UQILUT, UQI on the applied
+// image and the naive per-window oracle to agree bit for bit.
+func FuzzUQILUT(f *testing.F) {
+	f.Add([]byte{0, 128, 255}, []byte{}, uint8(47), uint8(47), uint8(7), uint8(0))
+	f.Add([]byte{9, 200, 3, 77}, []byte{255, 0}, uint8(36), uint8(28), uint8(4), uint8(2))
+	f.Add([]byte{}, []byte{1, 2, 3}, uint8(0), uint8(5), uint8(11), uint8(8))
+	f.Fuzz(func(t *testing.T, pix, lutBytes []byte, w8, h8, win8, step8 uint8) {
+		w := 1 + int(w8)%48
+		h := 1 + int(h8)%48
+		img := gray.New(w, h)
+		for i := range img.Pix {
+			if len(pix) > 0 {
+				img.Pix[i] = pix[i%len(pix)] ^ uint8(i*13)
+			} else {
+				img.Pix[i] = uint8(i * 31)
+			}
+		}
+		var lut [256]uint8
+		for v := range lut {
+			if len(lutBytes) > 0 {
+				lut[v] = lutBytes[v%len(lutBytes)] + uint8(v/len(lutBytes))
+			} else {
+				lut[v] = uint8(v)
+			}
+		}
+		opts := UQIOptions{Window: 1 + int(win8)%16, Step: 1 + int(step8)%12}
+		got, err := UQILUT(img, &lut, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := img.Map(func(p uint8) uint8 { return lut[p] })
+		pair, err := UQI(img, applied, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm, err := opts.normalized(w, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive := uqiNaive(img, applied, norm.Window, norm.Step)
+		if math.Float64bits(got) != math.Float64bits(pair) || math.Float64bits(got) != math.Float64bits(naive) {
+			t.Fatalf("%dx%d %+v: UQILUT %v, UQI %v, naive %v", w, h, opts, got, pair, naive)
+		}
+	})
+}
+
+func BenchmarkUQI(b *testing.B) {
+	x := noisy(256, 256, 1)
+	y := noisy(256, 256, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := UQI(x, y, UQIOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUQILUT scores one exact-search probe: a 256² frame against
+// the reconstruction LUT of linear compression to R = 128.
+func BenchmarkUQILUT(b *testing.B) {
+	x := noisy(256, 256, 1)
+	lut, err := transform.ScaleToRange(0, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recon, err := lut.Reconstruction()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UQILUT(x, (*[256]uint8)(recon), UQIOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
