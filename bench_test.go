@@ -112,14 +112,6 @@ func BenchmarkAblationEqualizerVariants(b *testing.B) {
 	}
 }
 
-func BenchmarkBusEncodings(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.BusEncodings(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Kernel benchmarks: the per-frame costs a runtime would pay. ---
 
 func benchImage(b *testing.B, size int) *histogram.Histogram {

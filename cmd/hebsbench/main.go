@@ -374,19 +374,6 @@ func runAblations(cfg experiments.Config, emit func(name, title string, tb *repo
 		return err
 	}
 
-	busRows, err := experiments.BusEncodings(cfg)
-	if err != nil {
-		return err
-	}
-	tb = report.NewTable("encoding", "transitions_per_word", "saving_vs_raw_pct", "extra_wires")
-	for _, r := range busRows {
-		tb.MustAddRow(r.Encoding, report.F(r.MeanTransPerWord, 3),
-			report.F(r.MeanSavingsVersusRaw, 1), report.I(r.ExtraWires))
-	}
-	if err := emit("bus_encodings", "Interface power — bus encodings of refs [2]/[3]", tb); err != nil {
-		return err
-	}
-
 	lcRows, err := experiments.AblationLCModels(cfg, 150, []int{2, 4, 10, 24})
 	if err != nil {
 		return err

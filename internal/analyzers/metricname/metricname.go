@@ -8,8 +8,7 @@
 // exposition sanitizer (obs.PromName) stays trivial exactly because
 // every name in the tree already satisfies this grammar; a name that
 // needs heavier sanitization would silently collide after '.' and '_'
-// both map to '_'. Names built at runtime (the SLO tracker's
-// slo.<metric>.breaches_total counters) are not constant expressions
+// both map to '_'. Names built at runtime are not constant expressions
 // and are out of scope — the convention is enforced at the call sites
 // that mint new literal names.
 package metricname
@@ -57,8 +56,8 @@ func run(pass *analysis.Pass) error {
 			}
 			tv, ok := pass.TypesInfo.Types[call.Args[0]]
 			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-				// Runtime-built names (slo.<metric>.breaches_total) are
-				// checked by the code that builds them, not here.
+				// Runtime-built names are checked by the code that
+				// builds them, not here.
 				return true
 			}
 			name := constant.StringVal(tv.Value)

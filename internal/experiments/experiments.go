@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"hebs/internal/baseline"
-	"hebs/internal/bus"
 	"hebs/internal/chart"
 	"hebs/internal/core"
 	"hebs/internal/driver"
@@ -607,53 +606,6 @@ func absF(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// BusRow is one encoding's mean interface switching activity over the
-// benchmark suite.
-type BusRow struct {
-	Encoding             string
-	MeanTransPerWord     float64
-	MeanSavingsVersusRaw float64
-	ExtraWires           int
-}
-
-// BusEncodings evaluates the interface-power techniques of the
-// introduction's first class (refs. [2]/[3]): bit transitions per
-// transmitted pixel under each bus encoding, averaged over the suite.
-func BusEncodings(cfg Config) ([]BusRow, error) {
-	suite, err := cfg.suite()
-	if err != nil {
-		return nil, err
-	}
-	type acc struct {
-		trans, savings float64
-		wires          int
-	}
-	accs := make([]acc, len(bus.Encodings))
-	for _, ni := range suite {
-		stats, err := bus.CompareImage(ni.Image)
-		if err != nil {
-			return nil, err
-		}
-		raw := stats[0]
-		for i, st := range stats {
-			accs[i].trans += st.TransitionsPerWord()
-			accs[i].savings += st.SavingsVersus(raw)
-			accs[i].wires = st.ExtraWires
-		}
-	}
-	n := float64(len(suite))
-	rows := make([]BusRow, len(bus.Encodings))
-	for i, enc := range bus.Encodings {
-		rows[i] = BusRow{
-			Encoding:             enc.String(),
-			MeanTransPerWord:     accs[i].trans / n,
-			MeanSavingsVersusRaw: accs[i].savings / n,
-			ExtraWires:           accs[i].wires,
-		}
-	}
-	return rows, nil
 }
 
 // AblationLCRow reports hardware realization error for one cell model

@@ -247,24 +247,6 @@ func TestAblationEqualizers(t *testing.T) {
 	}
 }
 
-func TestBusEncodings(t *testing.T) {
-	rows, err := BusEncodings(fastCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	if rows[0].Encoding != "raw" {
-		t.Fatalf("first row should be raw, got %s", rows[0].Encoding)
-	}
-	for _, r := range rows[1:] {
-		if r.MeanSavingsVersusRaw <= 0 {
-			t.Errorf("%s: no mean transition saving (%v%%)", r.Encoding, r.MeanSavingsVersusRaw)
-		}
-	}
-}
-
 func TestAblationLCModels(t *testing.T) {
 	rows, err := AblationLCModels(fastCfg, 150, []int{2, 10})
 	if err != nil {

@@ -151,16 +151,6 @@ func (m *Image) Statistics() Stats {
 	return st
 }
 
-// MeanNormalized returns the mean pixel value scaled to [0,1], the
-// quantity x-bar that feeds the TFT panel power model of Eq. 12.
-func (m *Image) MeanNormalized() float64 {
-	sum := 0.0
-	for _, p := range m.Pix {
-		sum += float64(p)
-	}
-	return sum / float64(len(m.Pix)) / 255.0
-}
-
 // FromStdImage converts any image.Image to a grayscale Image using the
 // standard library's gray conversion (Rec. 601 luma).
 func FromStdImage(src image.Image) *Image {
@@ -180,15 +170,6 @@ func (m *Image) ToStdImage() *image.Gray {
 	out := image.NewGray(m.Bounds())
 	for y := 0; y < m.H; y++ {
 		copy(out.Pix[y*out.Stride:y*out.Stride+m.W], m.Pix[y*m.W:(y+1)*m.W])
-	}
-	return out
-}
-
-// Normalized returns the image as float64 values in [0,1], row-major.
-func (m *Image) Normalized() []float64 {
-	out := make([]float64, len(m.Pix))
-	for i, p := range m.Pix {
-		out[i] = float64(p) / 255.0
 	}
 	return out
 }

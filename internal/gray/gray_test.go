@@ -177,18 +177,6 @@ func TestStatisticsRamp(t *testing.T) {
 	}
 }
 
-func TestMeanNormalized(t *testing.T) {
-	m := New(2, 2)
-	m.Fill(255)
-	if v := m.MeanNormalized(); math.Abs(v-1) > 1e-12 {
-		t.Errorf("MeanNormalized = %v, want 1", v)
-	}
-	m.Fill(0)
-	if v := m.MeanNormalized(); v != 0 {
-		t.Errorf("MeanNormalized = %v, want 0", v)
-	}
-}
-
 func TestStdImageRoundTrip(t *testing.T) {
 	m := New(5, 4)
 	for i := range m.Pix {
@@ -223,16 +211,6 @@ func TestFromStdImageOffsetBounds(t *testing.T) {
 	}
 	if m.At(1, 1) != 77 {
 		t.Errorf("offset pixel lost: got %d", m.At(1, 1))
-	}
-}
-
-func TestNormalized(t *testing.T) {
-	m := New(1, 2)
-	m.Pix[0] = 0
-	m.Pix[1] = 255
-	n := m.Normalized()
-	if n[0] != 0 || n[1] != 1 {
-		t.Errorf("Normalized = %v, want [0 1]", n)
 	}
 }
 

@@ -48,17 +48,16 @@ type tileBins [Levels]int32
 // concurrent Update calls; the video scheduler owns one per clip walk
 // (pooled across walks).
 type FrameDelta struct {
-	w, h     int
-	tile     int
-	tilesX   int
-	tilesY   int
-	sums     []uint64   // reference checksum per tile
-	bins     []tileBins // reference histogram per tile
-	fresh    []tileBins // scratch: re-binned tiles of the incoming frame
-	dirty    []bool     // scratch: which tiles changed this Update
-	global   Histogram  // running histogram of the reference frame
-	primed   bool
-	rebinned int // tiles re-binned by the last Update
+	w, h   int
+	tile   int
+	tilesX int
+	tilesY int
+	sums   []uint64   // reference checksum per tile
+	bins   []tileBins // reference histogram per tile
+	fresh  []tileBins // scratch: re-binned tiles of the incoming frame
+	dirty  []bool     // scratch: which tiles changed this Update
+	global Histogram  // running histogram of the reference frame
+	primed bool
 }
 
 // NewFrameDelta returns delta state for w×h frames tiled at tileSize
@@ -115,7 +114,6 @@ func (d *FrameDelta) Matches(w, h, tileSize int) bool {
 // tile (the geometry configuration is kept).
 func (d *FrameDelta) Invalidate() {
 	d.primed = false
-	d.rebinned = 0
 	d.global.Reset()
 }
 
@@ -127,9 +125,6 @@ func (d *FrameDelta) Tiles() int { return d.tilesX * d.tilesY }
 
 // TileSize returns the configured tile edge length.
 func (d *FrameDelta) TileSize() int { return d.tile }
-
-// Rebinned returns the number of tiles the last Update re-binned.
-func (d *FrameDelta) Rebinned() int { return d.rebinned }
 
 // tileRect returns the pixel bounds of tile t.
 func (d *FrameDelta) tileRect(t int) (x0, y0, x1, y1 int) {
@@ -282,7 +277,6 @@ func (d *FrameDelta) UpdateShards(img *gray.Image, h *Histogram, workers int) (c
 	}
 	d.global.N = len(img.Pix)
 	d.primed = true
-	d.rebinned = changed
 	if h != nil {
 		*h = d.global
 	}

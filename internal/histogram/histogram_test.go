@@ -63,17 +63,6 @@ func TestCDFMonotoneAndTotal(t *testing.T) {
 	}
 }
 
-func TestNormalizedCDF(t *testing.T) {
-	h := Of(ramp())
-	n := h.NormalizedCDF()
-	if n[Levels-1] != 1 {
-		t.Errorf("normalized CDF end = %v, want 1", n[Levels-1])
-	}
-	if math.Abs(n[127]-128.0/256.0) > 1e-12 {
-		t.Errorf("normalized CDF mid = %v", n[127])
-	}
-}
-
 func TestMinMaxDynamicRange(t *testing.T) {
 	m := gray.New(2, 2)
 	m.Pix = []uint8{30, 40, 50, 200}
@@ -174,68 +163,6 @@ func TestL1CDFDistance(t *testing.T) {
 	}
 	if d := L1CDFDistance(a, c, 0); d != 0 {
 		t.Errorf("n=0 distance = %v, want 0", d)
-	}
-}
-
-func TestEarthMoverDistance(t *testing.T) {
-	m1 := gray.New(4, 1)
-	m1.Fill(10)
-	m2 := gray.New(4, 1)
-	m2.Fill(20)
-	d, err := EarthMoverDistance(Of(m1), Of(m2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 10 {
-		t.Errorf("EMD = %v, want 10 (shift by 10 levels)", d)
-	}
-	self, _ := EarthMoverDistance(Of(m1), Of(m1))
-	if self != 0 {
-		t.Errorf("EMD to self = %v, want 0", self)
-	}
-	m3 := gray.New(5, 1)
-	if _, err := EarthMoverDistance(Of(m1), Of(m3)); err == nil {
-		t.Error("unequal mass should error")
-	}
-}
-
-func TestEMDSymmetry(t *testing.T) {
-	f := func(p1, p2 [8]byte) bool {
-		a := gray.New(8, 1)
-		b := gray.New(8, 1)
-		copy(a.Pix, p1[:])
-		copy(b.Pix, p2[:])
-		d1, e1 := EarthMoverDistance(Of(a), Of(b))
-		d2, e2 := EarthMoverDistance(Of(b), Of(a))
-		return e1 == nil && e2 == nil && math.Abs(d1-d2) < 1e-12 && d1 >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFlatness(t *testing.T) {
-	// Uniform ramp is perfectly flat.
-	if f := Of(ramp()).Flatness(); math.Abs(f-1) > 1e-9 {
-		t.Errorf("ramp flatness = %v, want 1", f)
-	}
-	// Constant image has width 1 -> flatness 0 by definition.
-	m := gray.New(4, 1)
-	m.Fill(7)
-	if f := Of(m).Flatness(); f != 0 {
-		t.Errorf("constant flatness = %v, want 0", f)
-	}
-	// Two spikes at the ends of a wide range: very unflat.
-	m2 := gray.New(100, 1)
-	for i := range m2.Pix {
-		if i%2 == 0 {
-			m2.Pix[i] = 0
-		} else {
-			m2.Pix[i] = 255
-		}
-	}
-	if f := Of(m2).Flatness(); f > 0.1 {
-		t.Errorf("bimodal flatness = %v, want near 0", f)
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 // The helpers below sit under every numeric path in the pipeline, so
 // their behaviour on NaN and ±Inf is part of their contract. These
 // tests pin that behaviour: NaN propagates through Clamp and poisons
-// Stats moments, infinities clamp to the interval ends, and Clamp8
-// never lets NaN reach the (implementation-defined) uint8 conversion.
+// Stats moments, and infinities clamp to the interval ends.
 
 func TestClampNonFinite(t *testing.T) {
 	if v := Clamp(math.Inf(1), 0, 10); v != 10 {
@@ -26,21 +25,6 @@ func TestClampNonFinite(t *testing.T) {
 	// Infinite bounds are legal and behave as no-ops on that side.
 	if v := Clamp(1e300, 0, math.Inf(1)); v != 1e300 {
 		t.Errorf("Clamp with +Inf hi = %v, want 1e300", v)
-	}
-}
-
-func TestClamp8NonFinite(t *testing.T) {
-	if v := Clamp8(math.NaN()); v != 0 {
-		t.Errorf("Clamp8(NaN) = %d, want 0", v)
-	}
-	if v := Clamp8(math.Inf(1)); v != 255 {
-		t.Errorf("Clamp8(+Inf) = %d, want 255", v)
-	}
-	if v := Clamp8(math.Inf(-1)); v != 0 {
-		t.Errorf("Clamp8(-Inf) = %d, want 0", v)
-	}
-	if v := Clamp8(255.4999); v != 255 {
-		t.Errorf("Clamp8(255.4999) = %d, want 255", v)
 	}
 }
 

@@ -40,20 +40,6 @@ func ClampInt(v, lo, hi int) int {
 	return v
 }
 
-// Clamp8 rounds v to the nearest integer and clamps it to [0, 255].
-// NaN maps to 0: the float-to-uint8 conversion of NaN is
-// implementation-defined in Go, so it must not reach the conversion.
-func Clamp8(v float64) uint8 {
-	r := math.Round(v)
-	if math.IsNaN(r) || r < 0 {
-		return 0
-	}
-	if r > 255 {
-		return 255
-	}
-	return uint8(r)
-}
-
 // Lerp linearly interpolates between a and b by t (t=0 gives a, t=1 gives b).
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
 
@@ -155,9 +141,6 @@ func (s *Stats) Variance() float64 {
 	return s.m2 / float64(s.n)
 }
 
-// StdDev returns the running population standard deviation.
-func (s *Stats) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
 // Min returns the smallest sample seen (0 for an empty accumulator).
 func (s *Stats) Min() float64 { return s.min }
 
@@ -210,36 +193,3 @@ func insertionSort(xs []float64) {
 
 // AlmostEqual reports whether a and b differ by at most eps.
 func AlmostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
-
-// SumInts returns the sum of an int slice.
-func SumInts(xs []int) int {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// MaxInt returns the larger of a and b.
-func MaxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinInt returns the smaller of a and b.
-func MinInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// AbsInt returns the absolute value of a.
-func AbsInt(a int) int {
-	if a < 0 {
-		return -a
-	}
-	return a
-}

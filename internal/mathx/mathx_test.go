@@ -51,34 +51,6 @@ func TestClampInt(t *testing.T) {
 	}
 }
 
-func TestClamp8(t *testing.T) {
-	cases := []struct {
-		v    float64
-		want uint8
-	}{
-		{-0.4, 0}, {-100, 0}, {0, 0}, {0.49, 0}, {0.5, 1},
-		{254.4, 254}, {254.6, 255}, {255, 255}, {400, 255},
-	}
-	for _, c := range cases {
-		if got := Clamp8(c.v); got != c.want {
-			t.Errorf("Clamp8(%v) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}
-
-func TestClamp8PropertyInRange(t *testing.T) {
-	f := func(v float64) bool {
-		if math.IsNaN(v) {
-			return true
-		}
-		got := Clamp8(v)
-		return got <= 255
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLerpInvLerpRoundTrip(t *testing.T) {
 	f := func(a, b, tt float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(tt) {
@@ -176,9 +148,6 @@ func TestStatsMatchesBatch(t *testing.T) {
 	}
 	if s.N() != len(xs) {
 		t.Errorf("Stats.N = %d, want %d", s.N(), len(xs))
-	}
-	if s.StdDev() != math.Sqrt(v) {
-		t.Errorf("Stats.StdDev = %v, want %v", s.StdDev(), math.Sqrt(v))
 	}
 }
 
@@ -288,21 +257,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIntHelpers(t *testing.T) {
-	if MaxInt(2, 3) != 3 || MaxInt(3, 2) != 3 {
-		t.Error("MaxInt broken")
-	}
-	if MinInt(2, 3) != 2 || MinInt(3, 2) != 2 {
-		t.Error("MinInt broken")
-	}
-	if AbsInt(-5) != 5 || AbsInt(5) != 5 || AbsInt(0) != 0 {
-		t.Error("AbsInt broken")
-	}
-	if SumInts([]int{1, 2, 3}) != 6 || SumInts(nil) != 0 {
-		t.Error("SumInts broken")
 	}
 }
 

@@ -15,28 +15,6 @@ import (
 	"time"
 )
 
-// DefaultSLOSpec is the -slo default: the per-frame latency budget the
-// ROADMAP's daemon work gates on — a windowed p99 under a 30 fps
-// refresh budget (~33ms).
-const DefaultSLOSpec = "video.frame.seconds:p99<33.4ms"
-
-// DefaultSLOMetrics are the latency histograms the telemetry wiring
-// always tracks with rolling windows, budget or not, so /debug/slo
-// reports windowed p50/p95/p99 per pipeline stage. The names mirror
-// the stage metrics internal/core and internal/video register (string
-// coupling only — obs stays dependency-free).
-var DefaultSLOMetrics = []string{
-	"video.frame.seconds",
-	"core.stage.range_select.seconds",
-	"core.stage.histogram.seconds",
-	"core.stage.equalize.seconds",
-	"core.stage.plc.seconds",
-	"core.stage.driver.seconds",
-	"core.stage.apply.seconds",
-	"core.stage.distortion.seconds",
-	"core.stage.power.seconds",
-}
-
 // CLIFlags wires the observability flags into a FlagSet and manages
 // their lifecycle around a command run.
 type CLIFlags struct {
@@ -47,7 +25,6 @@ type CLIFlags struct {
 
 	telemetry     *string
 	telemetryHold *time.Duration
-	sloSpec       *string
 	flightOut     *string
 	flightSize    *int
 
@@ -55,7 +32,6 @@ type CLIFlags struct {
 	collector  *Collector
 	prevSink   Sink
 	server     *Server
-	tracker    *SLOTracker
 	flight     *FlightRecorder
 	prevFlight *FlightRecorder
 	started    bool
@@ -63,7 +39,7 @@ type CLIFlags struct {
 
 // AddCLIFlags registers -cpuprofile, -memprofile, -trace-out,
 // -metrics-out and the live-telemetry flags (-telemetry,
-// -telemetry-hold, -slo, -flight-out, -flight-size) on fs and returns
+// -telemetry-hold, -flight-out, -flight-size) on fs and returns
 // the handle to Start/Stop them around the run.
 func AddCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	c := &CLIFlags{}
@@ -71,9 +47,8 @@ func AddCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	c.memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	c.traceOut = fs.String("trace-out", "", "write the pipeline span trace as JSON to this file")
 	c.metricsOut = fs.String("metrics-out", "", "write the metrics registry snapshot as JSON to this file")
-	c.telemetry = fs.String("telemetry", "", "serve live telemetry (/metrics, /debug/slo, /debug/frames, pprof) on this address (e.g. :9090)")
+	c.telemetry = fs.String("telemetry", "", "serve live telemetry (/metrics, /debug/frames, pprof) on this address (e.g. :9090)")
 	c.telemetryHold = fs.Duration("telemetry-hold", 0, "keep the telemetry server up this long after the run finishes (scrape window)")
-	c.sloSpec = fs.String("slo", DefaultSLOSpec, "SLO budgets as metric:pNN<budget[,...] (requires -telemetry; empty disables budgets)")
 	c.flightOut = fs.String("flight-out", "", "write the frame flight-recorder ring as JSON to this file on exit (enables recording)")
 	c.flightSize = fs.Int("flight-size", DefaultFlightSize, "frame flight-recorder ring capacity")
 	return c
@@ -94,9 +69,8 @@ func (c *CLIFlags) Collector() *Collector {
 }
 
 // Start begins CPU profiling, installs the span collector and brings
-// up the live-telemetry layer (flight recorder, SLO tracker, HTTP
-// server) when the corresponding flags were given. Call after flag
-// parsing.
+// up the live-telemetry layer (flight recorder, HTTP server) when the
+// corresponding flags were given. Call after flag parsing.
 func (c *CLIFlags) Start() error {
 	c.started = true
 	if *c.traceOut != "" {
@@ -110,32 +84,8 @@ func (c *CLIFlags) Start() error {
 		c.prevFlight = SetFlightRecorder(c.flight)
 	}
 	if *c.telemetry != "" {
-		c.tracker = NewSLOTracker(Default(), DefaultSLOWindow)
-		for _, m := range DefaultSLOMetrics {
-			c.tracker.Track(m)
-		}
-		budgets, err := ParseSLOSpecs(*c.sloSpec)
-		if err != nil {
-			return err
-		}
-		for _, b := range budgets {
-			if err := c.tracker.SetBudget(b); err != nil {
-				return err
-			}
-		}
-		// A breach mid-run dumps the ring immediately, while the slow
-		// frames are still in it — the exit-time dump may be too late
-		// on a long run.
-		if *c.flightOut != "" {
-			out := *c.flightOut
-			rec := c.flight
-			c.tracker.OnBreach = func(*SLOReport) {
-				_ = writeFile(out, rec.WriteJSON) //hebslint:allow errdrop best-effort breach dump; the exit-time write reports errors
-			}
-		}
 		c.server = NewServer(*c.telemetry, ServerOptions{
 			Registry: Default(),
-			SLO:      c.tracker,
 			Flight:   c.flight,
 		})
 		if err := c.server.Start(context.Background()); err != nil {
@@ -160,11 +110,6 @@ func (c *CLIFlags) Start() error {
 // Telemetry returns the running telemetry server, or nil when
 // -telemetry was not given (valid between Start and Stop).
 func (c *CLIFlags) Telemetry() *Server { return c.server }
-
-// SLO returns the SLO tracker behind /debug/slo, or nil when
-// -telemetry was not given — harnesses call Check on it to gate
-// programmatically.
-func (c *CLIFlags) SLO() *SLOTracker { return c.tracker }
 
 // Flight returns the flight recorder installed by Start, or nil when
 // recording is disabled.
@@ -196,12 +141,6 @@ func (c *CLIFlags) Stop() error {
 		SetSink(c.prevSink)
 		c.prevSink = nil
 	}
-	if c.tracker != nil {
-		// Final budget check: bumps breach counters (and the OnBreach
-		// flight dump) so a run that never got scraped still records
-		// whether it met its SLOs.
-		c.tracker.Check()
-	}
 	if c.server != nil {
 		if hold := *c.telemetryHold; hold > 0 {
 			// Scrape window: keep serving after the work finishes so an
@@ -217,7 +156,6 @@ func (c *CLIFlags) Stop() error {
 		keep(c.server.Shutdown(sctx))
 		cancel()
 		c.server = nil
-		c.tracker = nil
 	}
 	if c.flight != nil {
 		if *c.flightOut != "" {

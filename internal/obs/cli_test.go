@@ -87,8 +87,7 @@ func TestCLIFlagsStopWithoutStart(t *testing.T) {
 }
 
 // TestCLIFlagsTelemetryLifecycle runs the full -telemetry wiring: the
-// server answers while started, the tracker carries the default
-// metrics plus the -slo budget, the flight recorder is installed
+// server answers while started, the flight recorder is installed
 // globally, and Stop dumps -flight-out and tears everything down.
 func TestCLIFlagsTelemetryLifecycle(t *testing.T) {
 	dir := t.TempDir()
@@ -98,7 +97,6 @@ func TestCLIFlagsTelemetryLifecycle(t *testing.T) {
 	c := AddCLIFlags(fs)
 	if err := fs.Parse([]string{
 		"-telemetry", "127.0.0.1:0",
-		"-slo", "video.frame.seconds:p99<100ms",
 		"-flight-out", flightPath,
 		"-flight-size", "4",
 	}); err != nil {
@@ -117,10 +115,6 @@ func TestCLIFlagsTelemetryLifecycle(t *testing.T) {
 	if c.Flight().Size() != 4 {
 		t.Errorf("-flight-size ignored: ring size %d", c.Flight().Size())
 	}
-	budgets := c.SLO().Budgets()
-	if len(budgets) != 1 || budgets[0].Metric != "video.frame.seconds" || budgets[0].Quantile != 0.99 {
-		t.Errorf("budgets = %+v", budgets)
-	}
 
 	// Feed the pipeline-side instruments the way a run would.
 	Default().Histogram("video.frame.seconds", LatencyBuckets()).Observe(0.005)
@@ -135,24 +129,12 @@ func TestCLIFlagsTelemetryLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "video_frame_seconds_count") {
 		t.Errorf("/metrics: %d\n%s", resp.StatusCode, body)
 	}
-	resp, err = http.Get(srv.URL() + "/debug/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep SLOReport
-	if jerr := json.NewDecoder(resp.Body).Decode(&rep); jerr != nil {
-		t.Fatalf("/debug/slo: %v", jerr)
-	}
-	resp.Body.Close()
-	if len(rep.Stages) != len(DefaultSLOMetrics) {
-		t.Errorf("/debug/slo tracks %d stages, want %d", len(rep.Stages), len(DefaultSLOMetrics))
-	}
 
 	url := srv.URL()
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Telemetry() != nil || c.SLO() != nil || c.Flight() != nil {
+	if c.Telemetry() != nil || c.Flight() != nil {
 		t.Error("Stop did not clear the telemetry handles")
 	}
 	if Flight() != nil {
@@ -200,25 +182,6 @@ func TestCLIFlagsFlightOutWithoutTelemetry(t *testing.T) {
 	var recs []FrameRecord
 	if err := json.Unmarshal(data, &recs); err != nil || len(recs) != 1 || recs[0].Frame != 42 {
 		t.Errorf("flight dump: %v %+v", err, recs)
-	}
-}
-
-func TestCLIFlagsBadSLOSpec(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := AddCLIFlags(fs)
-	if err := fs.Parse([]string{"-telemetry", "127.0.0.1:0", "-slo", "not-a-spec"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err == nil {
-		_ = c.Stop() //nolint — teardown of the unexpected success
-		t.Fatal("Start accepted a malformed -slo spec")
-	}
-	// The failed Start must still release the flight recorder on Stop.
-	if err := c.Stop(); err != nil {
-		t.Errorf("Stop after failed Start: %v", err)
-	}
-	if Flight() != nil {
-		t.Error("flight recorder leaked after failed Start")
 	}
 }
 

@@ -128,11 +128,10 @@ func TestFlightRecorderWriteJSON(t *testing.T) {
 }
 
 // TestDisabledTelemetryOverheadGuard is bench-guard's counterpart to
-// TestNilSinkOverheadGuard for the flags this PR added to the frame hot
-// path: with no flight recorder installed and no SLO window attached, a
-// frame's worth of telemetry sites (one Flight() nil check, one
-// histogram Observe carrying the window nil check) must stay
-// allocation-free and within noise.
+// TestNilSinkOverheadGuard for the telemetry sites on the frame hot
+// path: with no flight recorder installed, a frame's worth of them (one
+// Flight() nil check, one histogram Observe) must stay allocation-free
+// and within noise.
 func TestDisabledTelemetryOverheadGuard(t *testing.T) {
 	prev := SetFlightRecorder(nil)
 	defer SetFlightRecorder(prev)

@@ -68,11 +68,6 @@ type Histogram struct {
 	counts  []int64 // len(bounds)+1; last is overflow
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 accumulated via CAS
-
-	// win, when attached (SLO tracking), additionally receives every
-	// observation into a rolling window. Nil costs one predictable
-	// atomic load per Observe — the same discipline as the span sink.
-	win atomic.Pointer[Window]
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -90,9 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	atomic.AddInt64(&h.counts[i], 1)
 	h.count.Add(1)
-	if w := h.win.Load(); w != nil {
-		w.Observe(v)
-	}
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -101,26 +93,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// EnableWindow attaches a rolling window of the given size to the
-// histogram (idempotent: an existing window is kept and returned, its
-// original size preserved). The windowed quantile layer of the SLO
-// tracker calls this; plain histograms never pay more than the nil
-// check in Observe.
-func (h *Histogram) EnableWindow(size int) *Window {
-	for {
-		if w := h.win.Load(); w != nil {
-			return w
-		}
-		w := NewWindow(size)
-		if h.win.CompareAndSwap(nil, w) {
-			return w
-		}
-	}
-}
-
-// Window returns the attached rolling window, or nil when none.
-func (h *Histogram) Window() *Window { return h.win.Load() }
 
 // ObserveDuration records a latency in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }

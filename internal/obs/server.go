@@ -1,24 +1,21 @@
-// The telemetry server: a stdlib-HTTP surface over the registry, the
-// SLO tracker and the flight recorder, mounted behind the -telemetry
-// flag so a running pipeline can be watched live instead of post-
-// mortem. Endpoints:
+// The telemetry server: a stdlib-HTTP surface over the registry and
+// the flight recorder, mounted behind the -telemetry flag so a running
+// pipeline can be watched live instead of post-mortem. Endpoints:
 //
 //	/metrics        Prometheus text exposition (v0.0.4)
 //	/metrics.json   the -metrics-out JSON snapshot
 //	/healthz        liveness ("ok")
-//	/debug/slo      windowed quantiles + budget breaches (JSON)
 //	/debug/frames   the flight recorder ring (JSON, oldest first)
 //	/debug/pprof/*  the standard net/http/pprof handlers
 //
 // The server owns no instrument state: every handler renders a
-// point-in-time view of the shared registry/tracker/recorder, so
+// point-in-time view of the shared registry/recorder, so
 // serving concurrently with a hot pipeline needs no coordination
 // beyond the instruments' own atomics.
 package obs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -31,8 +28,6 @@ import (
 type ServerOptions struct {
 	// Registry backs /metrics and /metrics.json; nil selects Default().
 	Registry *Registry
-	// SLO backs /debug/slo; nil serves an empty report.
-	SLO *SLOTracker
 	// Flight backs /debug/frames; nil falls back to the process-wide
 	// recorder (Flight()), which may itself be disabled — the endpoint
 	// then serves an empty array.
@@ -74,7 +69,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/debug/slo", s.handleSLO)
 	mux.HandleFunc("/debug/frames", s.handleFrames)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -161,19 +155,6 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleSLO(w http.ResponseWriter, req *http.Request) {
-	rep := &SLOReport{Stages: []SLOStageReport{}}
-	if s.opts.SLO != nil {
-		rep = s.opts.SLO.Check()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return
-	}
 }
 
 func (s *Server) handleFrames(w http.ResponseWriter, req *http.Request) {

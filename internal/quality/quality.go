@@ -267,15 +267,3 @@ func SaturatedPercent(img *gray.Image, lo, hi uint8) (float64, error) {
 	}
 	return 100 * float64(out) / float64(len(img.Pix)), nil
 }
-
-// ContrastFidelity returns the fraction (0..1) of pixels whose value is
-// preserved under an affine in-band transform with band [lo, hi]: the
-// contrast-fidelity measure of CBCS [5]. Pixels outside the band are
-// clamped and hence lose their contrast relationships.
-func ContrastFidelity(img *gray.Image, lo, hi uint8) (float64, error) {
-	sat, err := SaturatedPercent(img, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - sat/100, nil
-}

@@ -308,21 +308,6 @@ func TestSaturatedPercentFullBand(t *testing.T) {
 	}
 }
 
-func TestContrastFidelityComplement(t *testing.T) {
-	m := noisy(32, 32, 15)
-	f := func(lo, hi uint8) bool {
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		sat, err1 := SaturatedPercent(m, lo, hi)
-		fid, err2 := ContrastFidelity(m, lo, hi)
-		return err1 == nil && err2 == nil && math.Abs(fid-(1-sat/100)) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // windowMoments accumulates the first and second moments of an
 // aligned pair of windows, one pixel at a time — the naive oracle's
 // accumulator. Every sum is an integer below 2^53, so the float64
