@@ -10,8 +10,9 @@ import (
 // FuzzCoarsen drives the PLC dynamic program with random small curves
 // and segment budgets. Every solve must produce a structurally valid
 // endpoint set (Eq. 8) whose reported MSE matches a direct evaluation,
-// and — the instances being small — must equal the exhaustive optimum
-// over all endpoint subsets (Eq. 9).
+// must equal the exhaustive optimum over all endpoint subsets (Eq. 9,
+// the instances being small), and must match the row-major oracle bit
+// for bit.
 func FuzzCoarsen(f *testing.F) {
 	f.Add(uint8(10), uint8(3), []byte{0, 50, 50, 90, 120, 121, 122, 200, 220, 255})
 	f.Add(uint8(2), uint8(0), []byte{7})
@@ -51,6 +52,9 @@ func FuzzCoarsen(f *testing.F) {
 		}
 		if best := exhaustiveMSE(pts, m); math.Abs(res.MSE-best) > mseTolerance(best) {
 			t.Fatalf("DP MSE %v != exhaustive optimum %v (n=%d, m=%d)", res.MSE, best, n, m)
+		}
+		if diff := sameAsRowMajor(pts, m, res); diff != "" {
+			t.Fatalf("n=%d m=%d: %s", n, m, diff)
 		}
 	})
 }

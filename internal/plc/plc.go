@@ -6,8 +6,9 @@
 // squared error between Φ and Λ.
 //
 // The solver is the dynamic program of Eq. 9 with per-chord squared
-// errors; its complexity is O(m·n²) transitions over an O(n²)
-// precomputed chord-error table, matching the paper's stated bound.
+// errors; its complexity is O(m·n²) transitions, matching the paper's
+// stated bound. Each chord error comes in O(1) from O(n) prefix sums
+// and is evaluated once per solve, shared by every segment count.
 // m is set by the number of controllable reference-voltage sources in
 // the LCD driver (Figure 5b), which is what makes small m valuable.
 package plc
@@ -64,11 +65,14 @@ type chordTable struct {
 // sums plus the dp/parent matrices. The GHE curves the HEBS pipeline
 // coarsens always have n = 256 points and a fixed driver segment
 // budget, so a pooled scratch makes repeated solves allocation-free.
+// Both matrices are column-major: dp[j*(m+1)+k] is the minimal total
+// squared error covering points 0..j with k chords ending exactly at
+// j, and parent at the same index is the start of the last chord.
 type solveScratch struct {
 	n, m   int
 	table  chordTable
-	dp     [][]float64
-	parent [][]int
+	dp     []float64
+	parent []int
 }
 
 var scratchPool sync.Pool
@@ -81,7 +85,7 @@ func getScratch(n, m int) *solveScratch {
 		}
 		// Dimensions changed: drop the stale scratch.
 	}
-	s := &solveScratch{
+	return &solveScratch{
 		n: n, m: m,
 		table: chordTable{
 			px:  make([]float64, n+1),
@@ -90,32 +94,12 @@ func getScratch(n, m int) *solveScratch {
 			pyy: make([]float64, n+1),
 			pxy: make([]float64, n+1),
 		},
-		dp:     make([][]float64, m+1),
-		parent: make([][]int, m+1),
+		dp:     make([]float64, n*(m+1)),
+		parent: make([]int, n*(m+1)),
 	}
-	for k := range s.dp {
-		s.dp[k] = make([]float64, n)
-		s.parent[k] = make([]int, n)
-	}
-	return s
 }
 
 func putScratch(s *solveScratch) { scratchPool.Put(s) }
-
-// newChordTable allocates and fills a standalone chord table outside
-// the scratch pool.
-func newChordTable(pts []transform.Point) *chordTable {
-	n := len(pts)
-	t := &chordTable{
-		px:  make([]float64, n+1),
-		pxx: make([]float64, n+1),
-		py:  make([]float64, n+1),
-		pyy: make([]float64, n+1),
-		pxy: make([]float64, n+1),
-	}
-	t.fill(pts)
-	return t
-}
 
 // fill recomputes the prefix sums for pts. Index 0 of each prefix
 // array is the zero base case; the loop overwrites indices 1..n.
@@ -171,11 +155,10 @@ func Coarsen(pts []transform.Point, m int) (*Result, error) {
 // CoarsenCtx is Coarsen with the solve's observability spans nested
 // under the given parent (nil for a root span; with no sink installed
 // tracing is free) and with cooperative cancellation. The chord-table
-// precomputation and the DP sweep get separate child spans so profiles
-// attribute the O(n²) table vs the O(m·n²) transitions. The DP is the
-// pipeline's heaviest CPU stage, so ctx is checked once per chord-count
-// iteration and the context error is returned as soon as cancellation
-// is observed.
+// prefix sums and the DP sweep get separate child spans so profiles
+// attribute the O(n) table vs the O(m·n²) transitions. The sweep
+// checks ctx once every ctxStride columns and returns the context
+// error as soon as cancellation is observed.
 func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point, m int) (*Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -206,50 +189,17 @@ func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point
 
 	tableSpan := sp.Child("plc.chord_table")
 	scratch.table.fill(pts)
-	cerr := &scratch.table
 	tableSpan.End()
 
-	// dp[k][j]: minimal total squared error covering points 0..j with k
-	// chords ending exactly at j. parent[k][j] reconstructs the split.
 	dpSpan := sp.Child("plc.dp")
-	const inf = math.MaxFloat64
-	dp, parent := scratch.dp, scratch.parent
-	for k := range dp {
-		for j := range dp[k] {
-			dp[k][j] = inf
-			parent[k][j] = -1
-		}
-	}
-	dp[0][0] = 0
-	var ctxErr error
-	for k := 1; k <= m; k++ {
-		if ctxErr = ctx.Err(); ctxErr != nil {
-			break
-		}
-		for j := k; j < n; j++ {
-			best := inf
-			bestI := -1
-			for i := k - 1; i < j; i++ {
-				//hebslint:allow floateq MaxFloat64 is an exact "unreached" marker
-				if dp[k-1][i] == inf {
-					continue
-				}
-				c := dp[k-1][i] + cerr.at(i, j)
-				if c < best {
-					best = c
-					bestI = i
-				}
-			}
-			dp[k][j] = best
-			parent[k][j] = bestI
-		}
-	}
+	err := scratch.sweep(ctx)
 	dpSpan.End()
-	if ctxErr != nil {
-		return nil, ctxErr
+	if err != nil {
+		return nil, err
 	}
+	total := scratch.dp[n*(m+1)-1] // dp at k = m, j = n-1
 	//hebslint:allow floateq MaxFloat64 is an exact "unreached" marker
-	if dp[m][n-1] == inf {
+	if total == unreached {
 		mErrors.Inc()
 		return nil, fmt.Errorf("plc: no feasible %d-segment cover", m)
 	}
@@ -258,13 +208,13 @@ func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point
 	j := n - 1
 	for k := m; k >= 1; k-- {
 		idx[k] = j
-		j = parent[k][j]
+		j = scratch.parent[j*(m+1)+k]
 	}
 	idx[0] = 0
 	res := &Result{
 		Indices:  idx,
 		Segments: m,
-		MSE:      dp[m][n-1] / float64(n),
+		MSE:      total / float64(n),
 	}
 	res.Points = make([]transform.Point, len(idx))
 	for i, id := range idx {
@@ -277,6 +227,56 @@ func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point
 	mSolves.Inc()
 	mLatency.ObserveDuration(time.Since(start))
 	return res, nil
+}
+
+const (
+	// unreached marks a dp entry no chord sequence reaches. Adding a
+	// chord error (at never returns a negative one) cannot take it
+	// below itself, so it never wins a minimum.
+	unreached = math.MaxFloat64
+	// ctxStride is the number of DP columns between cancellation checks.
+	ctxStride = 32
+)
+
+// sweep runs the Eq. 9 recurrence over the filled chord table, column
+// by column: for each chord (i, j) it evaluates e(i, j) once and
+// relaxes every segment count k at j from dp[k-1] at i. For a fixed
+// (k, j), i still ascends and a tie keeps the first i, so every dp
+// value and parent matches the row-major order (k, then j, then i).
+// Row m is filled only at j = n-1, the one entry of it that is read.
+//
+//hebs:noalloc
+func (s *solveScratch) sweep(ctx context.Context) error {
+	n, m, w := s.n, s.m, s.m+1
+	dp, parent := s.dp, s.parent
+	for k := range dp {
+		dp[k], parent[k] = unreached, -1
+	}
+	dp[0] = 0
+	for j := 1; j < n; j++ {
+		if j%ctxStride == 1 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		col, par := dp[j*w:j*w+w], parent[j*w:j*w+w]
+		kmax := m
+		if j < n-1 {
+			kmax = m - 1
+		}
+		for i := 0; i < j; i++ {
+			// Rows 0..min(i, kmax-1) at i can extend to rows 1..kmax at
+			// j; deeper rows at i are unreached.
+			prev := dp[i*w : i*w+min(i+1, kmax)]
+			e := s.table.at(i, j)
+			for k, d := range prev {
+				if c := d + e; c < col[k+1] {
+					col[k+1], par[k+1] = c, i
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // LUT renders the coarsened curve into an applicable 8-bit LUT. The
