@@ -51,6 +51,11 @@ func (e *Estimator) Observe(h *Histogram) error {
 	return nil
 }
 
+// Reset forgets every observed frame: the next Observe starts the
+// average afresh, as on a new estimator (a scene cut restarts the
+// reference this way without allocating).
+func (e *Estimator) Reset() { e.seen = false }
+
 // Ready reports whether at least one frame has been observed.
 func (e *Estimator) Ready() bool { return e.seen }
 

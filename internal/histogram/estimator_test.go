@@ -173,3 +173,31 @@ func TestEstimatorDistance(t *testing.T) {
 		t.Errorf("distance should grow with shift: %v >= %v", near, far)
 	}
 }
+
+// TestEstimatorReset: a reset estimator is not ready, and its next
+// observation replaces the old average exactly, as on a new estimator.
+func TestEstimatorReset(t *testing.T) {
+	e, _ := NewEstimator(0.5)
+	for _, level := range []uint8{10, 200, 90} {
+		if err := e.Observe(flat(level)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Reset()
+	if e.Ready() {
+		t.Error("reset estimator should not be ready")
+	}
+	if _, err := e.Distance(flat(100)); err == nil {
+		t.Error("reset estimator should refuse Distance before an observation")
+	}
+	if err := e.Observe(flat(100)); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewEstimator(0.5)
+	if err := fresh.Observe(flat(100)); err != nil {
+		t.Fatal(err)
+	}
+	if *e != *fresh {
+		t.Error("reset then observe differs from a fresh estimator")
+	}
+}

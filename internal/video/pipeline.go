@@ -116,20 +116,22 @@ func getClipState(n int) *clipState {
 }
 
 // processClip is the walk behind ProcessContext for the global lamp.
-// A cancellation mid-clip returns the aggregated contiguous prefix of
-// frames whose Apply/measure phase completed (empty when it strikes
-// before phase E) together with ctx's error.
-func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error) {
+// At each frame in cuts (ascending) the reuse estimator restarts and
+// the governor snaps; the delta fold, replay chain and fusion carry
+// across, certified by pixel identity. A cancellation mid-clip returns
+// the aggregated contiguous prefix of frames whose Apply/measure phase
+// completed (empty when it strikes before phase E) with ctx's error.
+func processClip(ctx context.Context, seq *Sequence, pol Policy, cuts []int) (*Result, error) {
 	eng := pol.Engine
 	if eng == nil {
 		eng = core.NewEngine(core.EngineOptions{Workers: pol.Workers})
 	}
 	n := len(seq.Frames)
 	workers := policyWorkers(pol.Workers, n)
-	// The phase closures capture these instead of pol: a Policy is too
+	// The phase closures capture this instead of pol: a Policy is too
 	// large to capture by value, and capturing it by reference would
 	// move it to the heap on every clip.
-	base, offset := pol.Options, pol.frameOffset
+	base := pol.Options
 	sp := pol.Options.Trace.Child("video.Process")
 	defer sp.End()
 	sp.SetInt("frames", n)
@@ -185,8 +187,8 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 
 	// Phase A+B — reuse decisions. Frame histograms are independent
 	// (fan out); the estimator fold is stream-ordered (serial). Frame 0
-	// never reuses: the estimator is empty until it has observed a
-	// frame.
+	// and each detected cut never reuse: the estimator is empty until it
+	// has observed a frame of the scene.
 	if pol.ReuseThreshold > 0 {
 		est, err := histogram.NewEstimator(0.5)
 		if err != nil {
@@ -208,7 +210,12 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 				return finish(err) // only ctx errors escape this phase
 			}
 		}
+		rest := cuts
 		for i := range st {
+			if len(rest) > 0 && rest[0] == i {
+				rest = rest[1:]
+				est.Reset()
+			}
 			if est.Ready() {
 				d, err := est.Distance(&st[i].hist)
 				if err != nil {
@@ -263,7 +270,7 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 		// The search runs before the frame's Apply span opens; its own
 		// span, tagged with the frame, keeps the time attributed.
 		ssp := sp.Child("video.range_search")
-		ssp.SetInt("frame", offset+i)
+		ssp.SetInt("frame", i)
 		opts := base
 		opts.Trace = ssp
 		r, _, err := eng.SelectRange(ctx, seq.Frames[i], opts)
@@ -281,9 +288,10 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 	}
 
 	// Phase D — the serial governor: resolve inherited ranges, then
-	// run the fast-attack/slow-decay β track with cut snapping,
-	// including the re-quantization of a slew-limited β through
-	// RangeForBeta — the applied β must sit on the driver's range grid.
+	// run the fast-attack/slow-decay β track with cut snapping (at a
+	// detected cut or a β jump beyond CutThreshold), including the
+	// re-quantization of a slew-limited β through RangeForBeta — the
+	// applied β must sit on the driver's range grid.
 	prevBeta := math.NaN()
 	tr := 0
 	// Delta bookkeeping (DeltaAnalysis only): ownRng is the threaded
@@ -294,7 +302,12 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 	ownRng := dsOwnRange
 	head := -1
 	poolChain := true
+	rest := cuts
 	for i := 0; i < n; i++ {
+		sceneCut := len(rest) > 0 && rest[0] == i
+		if sceneCut {
+			rest = rest[1:]
+		}
 		switch {
 		case st[i].replay:
 			tr = ownRng
@@ -310,7 +323,7 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 		cutSnap := false
 		if !math.IsNaN(prevBeta) && pol.MaxStep > 0 {
 			delta := target - prevBeta
-			isCut := pol.CutThreshold > 0 && math.Abs(delta) > pol.CutThreshold
+			isCut := sceneCut || pol.CutThreshold > 0 && math.Abs(delta) > pol.CutThreshold
 			cutSnap = isCut
 			// Brightening (delta >= 0) is immediate: staying below the
 			// frame's target would exceed its distortion budget. Dimming
@@ -407,7 +420,7 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 		start := time.Now()
 		fsp := sp.Child("video.frame")
 		defer fsp.End()
-		fsp.SetInt("frame", offset+i)
+		fsp.SetInt("frame", i)
 		defer func() { mFrameLatency.ObserveDuration(time.Since(start)) }()
 		mFrames.Inc()
 		gInflight.Add(1)
@@ -476,7 +489,7 @@ func processClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error
 				hh = flightHistHash(&st[i].hist)
 			}
 			rec.Record(obs.FrameRecord{
-				Frame:           offset + i,
+				Frame:           i,
 				TargetBeta:      fr.TargetBeta,
 				Beta:            fr.Beta,
 				Range:           fr.Range,

@@ -132,10 +132,10 @@ func TestPipelinedSharedEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPipelinedCutDetectionMatchesSerial: the scene-cut wrapper
-// carries Workers into each scene-local run, matches the serial oracle
-// run scene by scene, and publishes clip gauges that cover the whole
-// clip rather than its last scene.
+// TestPipelinedCutDetectionMatchesSerial: the cut-detected walk at
+// every Workers setting matches the serial oracle run scene by scene,
+// and publishes clip gauges that cover the whole clip rather than its
+// last scene.
 func TestPipelinedCutDetectionMatchesSerial(t *testing.T) {
 	fixtures := pipelineFixtures(t)
 	seq := fixtures["mixed"]

@@ -8,9 +8,7 @@ package video
 import (
 	"context"
 	"errors"
-	"fmt"
 
-	"hebs/internal/core"
 	"hebs/internal/histogram"
 	"hebs/internal/invariant"
 	"hebs/internal/obs"
@@ -43,27 +41,24 @@ func DetectCuts(seq *Sequence, threshold float64) ([]int, error) {
 		return nil, err
 	}
 	var cuts []int
+	var h histogram.Histogram
 	for i, f := range seq.Frames {
-		h := histogram.Of(f)
+		histogram.OfInto(f, &h)
 		if i == 0 {
-			if err := est.Observe(h); err != nil {
+			if err := est.Observe(&h); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		d, err := est.Distance(h)
+		d, err := est.Distance(&h)
 		if err != nil {
 			return nil, err
 		}
 		if d > threshold {
 			cuts = append(cuts, i)
-			// Restart the scene reference.
-			est, err = histogram.NewEstimator(0.4)
-			if err != nil {
-				return nil, err
-			}
+			est.Reset() // restart the scene reference
 		}
-		if err := est.Observe(h); err != nil {
+		if err := est.Observe(&h); err != nil {
 			return nil, err
 		}
 	}
@@ -82,135 +77,19 @@ func DetectCuts(seq *Sequence, threshold float64) ([]int, error) {
 	return cuts, nil
 }
 
-// DefaultCutTileRatio is the fraction of changed tiles above which
-// DetectCutsByTiles marks a scene cut. A hard cut replaces essentially
-// the whole screen (ratio ≈ 1); overlay/UI updates and talking-head
-// motion touch a small fraction.
-const DefaultCutTileRatio = 0.75
-
-// DetectCutsByTiles detects scene starts from the tile-change ratio of
-// the incremental delta analysis: a frame whose fraction of changed
-// tiles (checksum mismatches against the previous frame) reaches the
-// threshold starts a new scene. The signal is a byproduct of the
-// DeltaAnalysis bookkeeping — per-tile hashing, no histogram distance —
-// so it is essentially free on clips already running delta analysis,
-// but it is cruder than DetectCuts: any full-screen motion (a pan, a
-// fade) changes every tile, so it suits static/overlay content rather
-// than continuous motion. tileSize 0 selects the delta default;
-// threshold <= 0 selects DefaultCutTileRatio. Frame 0 never counts.
-func DetectCutsByTiles(seq *Sequence, tileSize int, threshold float64) ([]int, error) {
-	if seq == nil || len(seq.Frames) == 0 {
-		return nil, errors.New("video: empty sequence")
-	}
-	if threshold <= 0 {
-		threshold = DefaultCutTileRatio
-	}
-	sp := obs.StartSpan("video.DetectCutsByTiles")
-	defer sp.End()
-	sp.SetInt("frames", len(seq.Frames))
-	fd, err := histogram.NewFrameDelta(seq.Frames[0].W, seq.Frames[0].H, tileSize)
-	if err != nil {
-		return nil, err
-	}
-	var cuts []int
-	for i, f := range seq.Frames {
-		changed, total, err := fd.Update(f, nil)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			continue // the first frame primes the reference
-		}
-		if float64(changed)/float64(total) >= threshold {
-			cuts = append(cuts, i)
-		}
-	}
-	sp.SetInt("cuts", len(cuts))
-	mCutsFound.Add(int64(len(cuts)))
-	if invariant.Enabled {
-		for i, c := range cuts {
-			invariant.Assert(c >= 1 && c < len(seq.Frames),
-				"video: cut index %d outside [1,%d)", c, len(seq.Frames))
-			invariant.Assert(i == 0 || c > cuts[i-1],
-				"video: cut indices not increasing: %v", cuts)
-		}
-	}
-	return cuts, nil
-}
-
-// ProcessWithCutDetectionContext runs ProcessContext with the
-// slew-rate policy, but snaps β at detected scene cuts instead of
-// relying on a β-jump threshold: histogram-level cut detection fires
-// even when the cut happens to land on a similar β (where the
-// β-threshold would not). cutDistance <= 0 selects DefaultCutDistance.
-// A cancellation mid-clip returns the frames of the scenes completed
-// (plus the cancelled scene's completed prefix), aggregated, together
-// with ctx's error. All scenes share one engine so frame buffers and
-// cached plans carry across cuts.
+// ProcessWithCutDetectionContext runs the clip with the slew-rate
+// policy, but snaps β at the scene cuts DetectCuts finds instead of at
+// β jumps (CutThreshold is turned off): histogram-level detection
+// fires even when a cut lands on a similar β. cutDistance <= 0 selects
+// DefaultCutDistance. The clip runs as one walk whose governor
+// restarts at each cut. A cancellation returns what ProcessContext
+// returns: the aggregated contiguous prefix of frames that finished
+// Apply (empty during the range searches) with ctx's error.
 func ProcessWithCutDetectionContext(ctx context.Context, seq *Sequence, pol Policy, cutDistance float64) (*Result, error) {
-	if seq == nil || len(seq.Frames) == 0 {
-		return nil, errors.New("video: empty sequence")
-	}
 	cuts, err := DetectCuts(seq, cutDistance)
 	if err != nil {
 		return nil, err
 	}
-	isCut := make(map[int]bool, len(cuts))
-	for _, c := range cuts {
-		isCut[c] = true
-	}
-	// Process scene by scene: within a scene the slew policy applies
-	// with no β-threshold; at each cut the policy restarts (immediate
-	// snap to the new scene's target).
-	scenePol := pol
-	scenePol.CutThreshold = 0
-	if scenePol.Engine == nil {
-		scenePol.Engine = core.NewEngine(core.EngineOptions{})
-	}
-	res := &Result{}
-	start := 0
-	var clipErr error
-	flush := func(end int) error {
-		if end <= start {
-			return nil
-		}
-		sub, err := NewSequence(seq.Frames[start:end])
-		if err != nil {
-			return err
-		}
-		scenePol.frameOffset = start
-		r, err := ProcessContext(ctx, sub, scenePol)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) && r != nil {
-				res.Frames = append(res.Frames, r.Frames...)
-				clipErr = cerr
-				return nil
-			}
-			return fmt.Errorf("video: scene at frame %d: %w", start, err)
-		}
-		res.Frames = append(res.Frames, r.Frames...)
-		return nil
-	}
-	for i := range seq.Frames {
-		if clipErr != nil {
-			break
-		}
-		if i > 0 && isCut[i] {
-			if err := flush(i); err != nil {
-				return nil, err
-			}
-			start = i
-		}
-	}
-	if clipErr == nil {
-		if err := flush(len(seq.Frames)); err != nil {
-			return nil, err
-		}
-	}
-	// Aggregate over the whole clip (the completed prefix if cancelled).
-	res.aggregate()
-	if clipErr != nil {
-		return res, clipErr
-	}
-	return res, nil
+	pol.CutThreshold = 0
+	return walk(ctx, seq, pol, cuts)
 }

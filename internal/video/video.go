@@ -162,10 +162,6 @@ type Policy struct {
 	// frames, β sequences, driver programs; see DESIGN.md "Parallel
 	// execution".
 	Workers int
-	// frameOffset shifts the frame indices reported on observability
-	// spans; ProcessWithCutDetectionContext sets it so scene-local runs still
-	// report clip-global frame numbers.
-	frameOffset int
 }
 
 // FrameResult records one processed frame.
@@ -222,6 +218,14 @@ func Process(seq *Sequence, pol Policy) (*Result, error) {
 // returned to) the policy's engine, so a steady-state clip allocates
 // almost nothing per frame.
 func ProcessContext(ctx context.Context, seq *Sequence, pol Policy) (*Result, error) {
+	return walk(ctx, seq, pol, nil)
+}
+
+// walk validates the clip and the policy and routes the clip to the
+// global or the zoned walk. cuts lists, in ascending order, the frames
+// that start a detected scene (nil: none); at each one the walk's
+// governor restarts as it does at frame 0.
+func walk(ctx context.Context, seq *Sequence, pol Policy, cuts []int) (*Result, error) {
 	if seq == nil || len(seq.Frames) == 0 {
 		return nil, errors.New("video: empty sequence")
 	}
@@ -238,10 +242,10 @@ func ProcessContext(ctx context.Context, seq *Sequence, pol Policy) (*Result, er
 				pol.Options.Subsystem = &sub
 			}
 		} else {
-			return processZonedClip(ctx, seq, pol)
+			return processZonedClip(ctx, seq, pol, cuts)
 		}
 	}
-	return processClip(ctx, seq, pol)
+	return processClip(ctx, seq, pol, cuts)
 }
 
 // PolicyError reports a temporal-policy parameter ProcessContext
@@ -279,8 +283,8 @@ func validatePolicy(pol Policy) error {
 
 // aggregate computes the clip-level summary — mean saving and the
 // flicker statistics of the applied β track — over the completed
-// frames in index order and publishes the clip gauges. The frame walk
-// and the scene-cut wrapper both reduce through this one helper.
+// frames in index order and publishes the clip gauges. The global and
+// the zoned walk both reduce through this one helper.
 func (r *Result) aggregate() {
 	var sumSave, sumDelta, maxDelta float64
 	for i, f := range r.Frames {

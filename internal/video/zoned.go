@@ -46,8 +46,10 @@ func effectiveSlew(policy, hardware float64) float64 {
 // processZonedClip walks a clip through the per-zone engine path.
 // Frames run serially; intra-frame parallelism (the zone fan-out)
 // comes from the engine's worker pool, so Policy.Workers sizes that
-// pool when the policy does not bring its own engine.
-func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, error) {
+// pool when the policy does not bring its own engine. At each frame in
+// cuts (ascending) every zone track restarts: the frame runs without
+// floors and never replays its predecessor.
+func processZonedClip(ctx context.Context, seq *Sequence, pol Policy, cuts []int) (*Result, error) {
 	b := pol.Backend
 	g := b.Grid()
 	zones := g.Zones()
@@ -76,14 +78,24 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 	var prevPix []byte  // previous frame's pixels (DeltaAnalysis only)
 
 	var clipErr error
+	rest := cuts
 	for i, frame := range seq.Frames {
 		if err := ctx.Err(); err != nil {
 			clipErr = err
 			break
 		}
+		// A detected cut drops the previous field, as at frame 0, and
+		// is a snap when that field would have floored this frame.
+		sceneCut := false
+		if len(rest) > 0 && rest[0] == i {
+			rest = rest[1:]
+			sceneCut = len(prev) == zones && step > 0
+			prev = prev[:0]
+			prevStable = false
+		}
 		start := time.Now()
 		fsp := sp.Child("video.frame")
-		fsp.SetInt("frame", pol.frameOffset+i)
+		fsp.SetInt("frame", i)
 		mFrames.Inc()
 		mZonedFrames.Inc()
 		gInflight.Add(1)
@@ -152,9 +164,11 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 				}
 				cutSnap = true
 				floored = false
-				fsp.SetBool("cut_snap", true)
-				mCutSnaps.Inc()
 			}
+		}
+		if cutSnap || sceneCut {
+			fsp.SetBool("cut_snap", true)
+			mCutSnaps.Inc()
 		}
 
 		meanTarget := 0.0
@@ -212,11 +226,11 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 		recordZonedFrame(fsp, fr)
 		if rec := obs.Flight(); rec != nil {
 			rec.Record(obs.FrameRecord{
-				Frame:          pol.frameOffset + i,
+				Frame:          i,
 				TargetBeta:     fr.TargetBeta,
 				Beta:           fr.Beta,
 				Range:          fr.Range,
-				CutSnap:        cutSnap,
+				CutSnap:        cutSnap || sceneCut,
 				Zones:          zones,
 				ZoneBetaSpread: fr.ZoneBetaSpread,
 				SmoothIters:    smooth,
