@@ -44,6 +44,7 @@ vet-noalloc:
 # corpora live in each package's testdata/fuzz/<Target>/.
 FUZZ_TARGETS := \
 	FuzzSolveRange:./internal/equalize \
+	FuzzOptions:./internal/core \
 	FuzzCoarsen:./internal/plc \
 	FuzzDetectCuts:./internal/video \
 	FuzzOfIntoShards:./internal/histogram \

@@ -104,14 +104,6 @@ func BenchmarkAblationEqualizeVsClip(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationEqualizerVariants(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationEqualizers(benchCfg, 140); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Kernel benchmarks: the per-frame costs a runtime would pay. ---
 
 func benchImage(b *testing.B, size int) *histogram.Histogram {

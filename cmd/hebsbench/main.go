@@ -361,19 +361,6 @@ func runAblations(cfg experiments.Config, emit func(name, title string, tb *repo
 		return err
 	}
 
-	eqVar, err := experiments.AblationEqualizers(cfg, 140)
-	if err != nil {
-		return err
-	}
-	tb = report.NewTable("method", "mean_distortion_pct", "mean_merged_pct", "mean_brightness_shift")
-	for _, r := range eqVar {
-		tb.MustAddRow(r.Method, report.F(r.MeanDistortion, 2),
-			report.F(r.MeanMerged, 2), report.F(r.MeanBrightShift, 2))
-	}
-	if err := emit("ablation_equalizers", "Ablation — equalization variants at R=140 (future work)", tb); err != nil {
-		return err
-	}
-
 	lcRows, err := experiments.AblationLCModels(cfg, 150, []int{2, 4, 10, 24})
 	if err != nil {
 		return err

@@ -76,6 +76,31 @@ func TestRunCompareSection(t *testing.T) {
 	}
 }
 
+// TestRunAblationsSection: -only ablations emits the PLC, metric,
+// equalize and LC-cell tables, and nothing else.
+func TestRunAblationsSection(t *testing.T) {
+	dir := t.TempDir()
+	var sb strings.Builder
+	if err := run([]string{"-only", "ablations", "-size", "32", "-csv", dir}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	want := []string{"ablation_equalize.csv", "ablation_lc.csv", "ablation_metric.csv", "ablation_plc.csv"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("tables written: %v, want %v", got, want)
+	}
+	if sections := strings.Count(sb.String(), "== Ablation"); sections != len(want) {
+		t.Errorf("printed %d ablation sections, want %d:\n%s", sections, len(want), sb.String())
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-bogus"}, &sb); err == nil {

@@ -162,9 +162,13 @@ func run(args []string, out io.Writer) (err error) {
 			len(res.Frames), len(clip.Frames))
 	}
 
-	cuts, err := video.DetectCuts(clip, 0)
-	if err != nil {
-		return err
+	// The cut-detected walk reports the cuts it snapped at; without it
+	// the clip is scanned once here.
+	cuts := res.Cuts
+	if !*cutDetect {
+		if cuts, err = video.DetectCuts(clip, 0); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(out, "detected cuts: %v\n", cuts)
 

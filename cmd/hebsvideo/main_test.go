@@ -1,9 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"hebs/internal/obs"
 )
 
 func TestRunMixedClip(t *testing.T) {
@@ -113,6 +118,41 @@ func TestRunTimeline(t *testing.T) {
 		}
 		if rows != 4 {
 			t.Errorf("%v: timeline has %d frame rows, want 4:\n%s", args, rows, table)
+		}
+	}
+}
+
+// TestRunScansCutsOnce: a run scans the clip for cuts once, with or
+// without -cutdetect, so video.cuts_detected_total grows by exactly
+// the number of cuts the run prints.
+func TestRunScansCutsOnce(t *testing.T) {
+	for _, detect := range []string{"-cutdetect=true", "-cutdetect=false"} {
+		metricsPath := filepath.Join(t.TempDir(), "metrics.json")
+		before := obs.Default().Counter("video.cuts_detected_total").Value()
+		var sb strings.Builder
+		if err := run([]string{"-clip", "cut", "-frames", "10", "-size", "48", detect,
+			"-metrics-out", metricsPath}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		_, line, ok := strings.Cut(sb.String(), "detected cuts: [")
+		if !ok {
+			t.Fatalf("%s: no detected-cuts line:\n%s", detect, sb.String())
+		}
+		line, _, _ = strings.Cut(line, "]")
+		printed := len(strings.Fields(line))
+		if printed == 0 {
+			t.Fatalf("%s: the cut clip printed no cuts", detect)
+		}
+		data, err := os.ReadFile(metricsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Counters["video.cuts_detected_total"] - before; got != int64(printed) {
+			t.Errorf("%s: cuts_detected_total grew by %d, printed %d cuts", detect, got, printed)
 		}
 	}
 }

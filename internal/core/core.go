@@ -52,9 +52,6 @@ type Options struct {
 	// When nil and needed, a curve built from the default benchmark
 	// suite is used (computed once per process).
 	Curve *chart.Curve
-	// WorstCase selects the worst-case fit of the curve instead of the
-	// entire-dataset fit.
-	WorstCase bool
 	// Segments is the PLC budget m. Default: the driver's source count
 	// (driver.DefaultConfig.Sources).
 	Segments int
@@ -66,27 +63,12 @@ type Options struct {
 	// Driver, when non-nil, also produces the PLRD hardware program
 	// realizing Λ.
 	Driver *driver.Config
-	// Equalizer selects the histogram-equalization variant for step 2
-	// (the paper's future-work evaluation): EqualizerGHE (default,
-	// Eq. 5–7), EqualizerClipped (contrast-limited) or EqualizerBBHE
-	// (brightness-preserving bi-histogram).
-	Equalizer Equalizer
-	// ClipFactor is the contrast limit for EqualizerClipped (>= 1;
-	// 0 means the default of 3).
-	ClipFactor float64
 	// Trace, when non-nil, nests this run's observability spans under
 	// the given parent (the per-frame loop in internal/video uses this
 	// to attribute pipeline time to frames). Nil means each run emits a
 	// root span; with no span sink installed tracing costs nothing
 	// either way.
 	Trace *obs.Span
-	// ZoneMaxGradient bounds the spatial gradient of the per-zone
-	// backlight field in Engine.ProcessZoned: after per-zone range
-	// selection, a raise-only relaxation lifts each zone's β to within
-	// ZoneMaxGradient of its 4-neighbors (halo suppression; see
-	// backlight.Smooth). 0 selects DefaultZoneMaxGradient; a negative
-	// value disables smoothing. Ignored by the global pipeline.
-	ZoneMaxGradient float64
 	// ZoneBetaFloor, when non-empty, raises each zone's β to at least
 	// the given floor before smoothing — this is where the video
 	// governor's dimming slew limits enter the zoned pipeline (raising
@@ -96,35 +78,14 @@ type Options struct {
 	ZoneBetaFloor []float64
 }
 
-// DefaultZoneMaxGradient is the zone-boundary |Δβ| bound ProcessZoned
-// uses when Options.ZoneMaxGradient is 0: a quarter of full scale per
-// zone step keeps bright objects from sitting against fully-dark
-// neighbor zones without erasing the local-dimming saving.
+// DefaultZoneMaxGradient bounds the spatial gradient of the per-zone
+// backlight field in Engine.ProcessZoned: after per-zone range
+// selection, a raise-only relaxation lifts each zone's β to within
+// this bound of its 4-neighbors (halo suppression; see
+// backlight.Smooth). A quarter of full scale per zone step keeps
+// bright objects from sitting against fully-dark neighbor zones
+// without erasing the local-dimming saving.
 const DefaultZoneMaxGradient = 0.25
-
-// Equalizer names a histogram-equalization variant.
-type Equalizer int
-
-// The supported equalization methods.
-const (
-	EqualizerGHE Equalizer = iota
-	EqualizerClipped
-	EqualizerBBHE
-)
-
-// String implements fmt.Stringer for diagnostics and report tables.
-func (e Equalizer) String() string {
-	switch e {
-	case EqualizerGHE:
-		return "ghe"
-	case EqualizerClipped:
-		return "clipped"
-	case EqualizerBBHE:
-		return "bbhe"
-	default:
-		return fmt.Sprintf("equalizer(%d)", int(e))
-	}
-}
 
 // Result is a completed HEBS run.
 type Result struct {
@@ -268,17 +229,16 @@ type Plan struct {
 // PlanFromHistogram computes the HEBS transform for a target dynamic
 // range directly from a histogram — the runtime path on hardware with
 // a histogram estimator. segments <= 0 selects the default driver
-// source count; drv may be nil to skip voltage programming; eq selects
-// the equalization variant (clipFactor as in Options.ClipFactor).
-func PlanFromHistogram(h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (*Plan, error) {
-	return planFromHistogramCtx(context.Background(), nil, h, r, segments, drv, eq, clipFactor)
+// source count; drv may be nil to skip voltage programming.
+func PlanFromHistogram(h *histogram.Histogram, r, segments int, drv *driver.Config) (*Plan, error) {
+	return planFromHistogramCtx(context.Background(), nil, h, r, segments, drv)
 }
 
 // planFromHistogramCtx is PlanFromHistogram with the caller's span as
 // the parent of the stage spans (Process passes its run span) and
 // cooperative cancellation between stages (the PLC DP also checks ctx
 // per outer-loop row, bounding cancellation latency on large solves).
-func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (*Plan, error) {
+func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config) (*Plan, error) {
 	if h == nil || h.N == 0 {
 		return nil, errors.New("core: empty histogram")
 	}
@@ -300,27 +260,9 @@ func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Hi
 		invariant.AssertBeta("core: β = R/(G−1)", beta)
 	}
 
-	// Step 2: GHE (Eq. 5–7) in the selected variant.
-	eqSpan, eqDone := stage(parent, stageEqualize)
-	eqSpan.SetString("variant", eq.String())
-	var ghe *equalize.Result
-	switch eq {
-	case EqualizerGHE:
-		ghe, err = equalize.SolveRangeCtx(ctx, h, r)
-	case EqualizerClipped:
-		if clipFactor == 0 {
-			clipFactor = 3
-		}
-		if err = ctx.Err(); err == nil {
-			ghe, err = equalize.SolveClipped(h, 0, r, clipFactor)
-		}
-	case EqualizerBBHE:
-		if err = ctx.Err(); err == nil {
-			ghe, err = equalize.SolveBBHE(h, 0, r)
-		}
-	default:
-		err = fmt.Errorf("core: unknown equalizer %v", eq)
-	}
+	// Step 2: GHE (Eq. 5–7).
+	_, eqDone := stage(parent, stageEqualize)
+	ghe, err := equalize.SolveRangeCtx(ctx, h, r)
 	eqDone.end(err)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 	"hebs/internal/transform"
 )
 
-func testImg(t *testing.T, name string) *gray.Image {
+func testImg(t testing.TB, name string) *gray.Image {
 	t.Helper()
 	img, err := sipi.Generate(name, 64, 64)
 	if err != nil {
@@ -24,7 +24,7 @@ func testImg(t *testing.T, name string) *gray.Image {
 }
 
 // smallCurve builds a fast characteristic curve for lookup-mode tests.
-func smallCurve(t *testing.T) *chart.Curve {
+func smallCurve(t testing.TB) *chart.Curve {
 	t.Helper()
 	var suite []sipi.NamedImage
 	for _, n := range []string{"lena", "baboon", "housea"} {
@@ -128,16 +128,17 @@ func TestProcessCurveLookupMode(t *testing.T) {
 	if res.Range < 50 || res.Range > 255 {
 		t.Errorf("range %d outside curve domain", res.Range)
 	}
-	// Worst-case mode is at least as conservative.
-	resW, err := Process(img, Options{MaxDistortionPercent: 10, Curve: curve, WorstCase: true})
+	// The lookup reads the entire-dataset fit; the worst-case fit is
+	// covered by the chart tests and the integration suite.
+	want, err := curve.MinRange(10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resW.Range < res.Range {
-		t.Errorf("worst-case range %d below average range %d", resW.Range, res.Range)
+	if res.Range != want {
+		t.Errorf("range %d, entire-dataset fit admits %d", res.Range, want)
 	}
-	if resW.PowerSavingPercent > res.PowerSavingPercent+1e-9 {
-		t.Error("worst-case mode should not save more power")
+	if p := curve.PredictedDistortion(want, false); res.PredictedDistortion != p {
+		t.Errorf("predicted distortion %v, entire-dataset fit predicts %v", res.PredictedDistortion, p)
 	}
 }
 
@@ -268,58 +269,6 @@ func TestProcessAchievedBelowLinearPrediction(t *testing.T) {
 	}
 }
 
-func TestProcessEqualizerVariants(t *testing.T) {
-	img := testImg(t, "splash")
-	for _, eq := range []Equalizer{EqualizerGHE, EqualizerClipped, EqualizerBBHE} {
-		res, err := Process(img, Options{DynamicRange: 140, Equalizer: eq})
-		if err != nil {
-			t.Fatalf("%v: %v", eq, err)
-		}
-		if !res.Lambda.IsMonotone() {
-			t.Errorf("%v: Λ not monotone", eq)
-		}
-		h := histogram.Of(res.Transformed)
-		if h.MaxLevel() > 140 {
-			t.Errorf("%v: transformed exceeds range: %d", eq, h.MaxLevel())
-		}
-		if res.PowerSavingPercent <= 0 {
-			t.Errorf("%v: no saving", eq)
-		}
-	}
-}
-
-func TestProcessEqualizerVariantsDiffer(t *testing.T) {
-	img := testImg(t, "splash")
-	ghe, err := Process(img, Options{DynamicRange: 140})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clipped, err := Process(img, Options{DynamicRange: 140, Equalizer: EqualizerClipped, ClipFactor: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ghe.Transformed.Equal(clipped.Transformed) {
-		t.Error("clipped equalizer produced identical output to GHE on a skewed image")
-	}
-}
-
-func TestProcessUnknownEqualizer(t *testing.T) {
-	img := testImg(t, "lena")
-	if _, err := Process(img, Options{DynamicRange: 100, Equalizer: Equalizer(99)}); err == nil {
-		t.Error("unknown equalizer should error")
-	}
-}
-
-func TestEqualizerString(t *testing.T) {
-	if EqualizerGHE.String() != "ghe" || EqualizerClipped.String() != "clipped" ||
-		EqualizerBBHE.String() != "bbhe" {
-		t.Error("Equalizer names wrong")
-	}
-	if Equalizer(42).String() != "equalizer(42)" {
-		t.Errorf("unknown equalizer name: %s", Equalizer(42))
-	}
-}
-
 func TestProcessColor(t *testing.T) {
 	lum := testImg(t, "peppers")
 	img := rgb.FromGray(lum)
@@ -382,7 +331,7 @@ func TestPlanFromHistogramMatchesProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanFromHistogram(histogram.Of(img), 140, 0, &cfg, EqualizerGHE, 0)
+	plan, err := PlanFromHistogram(histogram.Of(img), 140, 0, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,20 +357,17 @@ func TestPlanFromHistogramMatchesProcess(t *testing.T) {
 
 func TestPlanFromHistogramValidation(t *testing.T) {
 	h := histogram.Of(testImg(t, "lena"))
-	if _, err := PlanFromHistogram(nil, 100, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := PlanFromHistogram(nil, 100, 0, nil); err == nil {
 		t.Error("nil histogram should error")
 	}
-	if _, err := PlanFromHistogram(h, 0, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := PlanFromHistogram(h, 0, 0, nil); err == nil {
 		t.Error("range 0 should error")
 	}
-	if _, err := PlanFromHistogram(h, 256, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := PlanFromHistogram(h, 256, 0, nil); err == nil {
 		t.Error("range > 255 should error")
 	}
-	if _, err := PlanFromHistogram(h, 100, 0, nil, Equalizer(9), 0); err == nil {
-		t.Error("unknown equalizer should error")
-	}
 	// No driver: still a valid software plan.
-	plan, err := PlanFromHistogram(h, 100, 4, nil, EqualizerBBHE, 0)
+	plan, err := PlanFromHistogram(h, 100, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

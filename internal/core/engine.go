@@ -414,11 +414,11 @@ func (e *Engine) selectRange(img *gray.Image, opts Options) (r int, predicted fl
 			return 0, 0, err
 		}
 	}
-	r, err = curve.MinRange(opts.MaxDistortionPercent, opts.WorstCase)
+	r, err = curve.MinRange(opts.MaxDistortionPercent, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	return r, curve.PredictedDistortion(r, opts.WorstCase), nil
+	return r, curve.PredictedDistortion(r, false), nil
 }
 
 // SelectRange runs step 1 alone — the D_max → R admissible-range
@@ -449,25 +449,24 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 
 // planFor computes (or retrieves from the plan cache) the Plan for a
 // histogram at range r, with stage spans as children of parent.
-func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (plan *Plan, cached bool, err error) {
+func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config) (plan *Plan, cached bool, err error) {
 	if segments <= 0 {
 		segments = driver.DefaultConfig.Sources
 	}
 	var hash uint64
-	clipBits := math.Float64bits(clipFactor)
 	if e.planShared != nil {
-		hash = planHash(h, r, segments, eq, clipBits)
-		if plan := e.planShared.lookup(hash, h, r, segments, drv, eq, clipBits); plan != nil {
+		hash = planHash(h, r, segments)
+		if plan := e.planShared.lookup(hash, h, r, segments, drv); plan != nil {
 			parent.SetBool("plan_cached", true)
 			return plan, true, nil
 		}
 	}
-	plan, err = planFromHistogramCtx(ctx, parent, h, r, segments, drv, eq, clipFactor)
+	plan, err = planFromHistogramCtx(ctx, parent, h, r, segments, drv)
 	if err != nil {
 		return nil, false, err
 	}
 	if e.planShared != nil {
-		e.planShared.store(hash, h, r, segments, drv, eq, clipBits, plan)
+		e.planShared.store(hash, h, r, segments, drv, plan)
 	}
 	return plan, false, nil
 }
@@ -540,8 +539,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 	// Steps 2+3: histogram -> Φ -> Λ (+ the PLRD program) — the Plan
 	// stage, the part the LCD controller computes from its histogram
 	// estimator alone.
-	plan, planCached, err := e.planFor(ctx, sp, h, r, segments,
-		opts.Driver, opts.Equalizer, opts.ClipFactor)
+	plan, planCached, err := e.planFor(ctx, sp, h, r, segments, opts.Driver)
 	if err != nil {
 		return nil, err
 	}

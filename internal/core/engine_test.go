@@ -24,7 +24,6 @@ func TestEngineProcessMatchesLegacy(t *testing.T) {
 		{"direct_range", Options{DynamicRange: 150}},
 		{"exact_search", Options{MaxDistortionPercent: 10, ExactSearch: true}},
 		{"with_driver", Options{DynamicRange: 120, Driver: &cfg}},
-		{"clipped", Options{DynamicRange: 140, Equalizer: EqualizerClipped}},
 	}
 	eng := NewEngine(EngineOptions{})
 	for _, tc := range cases {
@@ -131,7 +130,7 @@ func TestEnginePlanCacheSharesPlans(t *testing.T) {
 	eng := NewEngine(EngineOptions{})
 	planAt := func(e *Engine, r int) *Plan {
 		t.Helper()
-		plan, _, err := e.planFor(context.Background(), nil, h, r, 0, nil, EqualizerGHE, 0)
+		plan, _, err := e.planFor(context.Background(), nil, h, r, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +206,7 @@ func TestEngineProcessColorRelease(t *testing.T) {
 func benchPlan(b *testing.B, img *gray.Image) *Plan {
 	b.Helper()
 	plan, err := planFromHistogramCtx(context.Background(), nil, histogram.Of(img), 150,
-		driver.DefaultConfig.Sources, nil, EqualizerGHE, 0)
+		driver.DefaultConfig.Sources, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

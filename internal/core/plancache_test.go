@@ -24,20 +24,20 @@ func TestPlanShardsExactMatch(t *testing.T) {
 	s := newPlanShards()
 	h := histWithSeed(1)
 	plan := &Plan{Range: 200}
-	hash := planHash(h, 200, 8, EqualizerGHE, 0)
-	s.store(hash, h, 200, 8, nil, EqualizerGHE, 0, plan)
+	hash := planHash(h, 200, 8)
+	s.store(hash, h, 200, 8, nil, plan)
 
-	if got := s.lookup(hash, h, 200, 8, nil, EqualizerGHE, 0); got != plan {
+	if got := s.lookup(hash, h, 200, 8, nil); got != plan {
 		t.Fatal("exact key did not hit")
 	}
-	if got := s.lookup(planHash(h, 201, 8, EqualizerGHE, 0), h, 201, 8, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(planHash(h, 201, 8), h, 201, 8, nil); got != nil {
 		t.Error("different range hit")
 	}
-	if got := s.lookup(planHash(h, 200, 9, EqualizerGHE, 0), h, 200, 9, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(planHash(h, 200, 9), h, 200, 9, nil); got != nil {
 		t.Error("different segment budget hit")
 	}
 	h2 := histWithSeed(2)
-	if got := s.lookup(planHash(h2, 200, 8, EqualizerGHE, 0), h2, 200, 8, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(planHash(h2, 200, 8), h2, 200, 8, nil); got != nil {
 		t.Error("different histogram hit")
 	}
 	// Same hash, different bins (forced collision): the full-bins
@@ -45,7 +45,7 @@ func TestPlanShardsExactMatch(t *testing.T) {
 	h3 := histWithSeed(1)
 	h3.Bins[7]++
 	h3.Bins[9]--
-	if got := s.lookup(hash, h3, 200, 8, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(hash, h3, 200, 8, nil); got != nil {
 		t.Error("forced hash collision returned a foreign plan")
 	}
 }
@@ -65,7 +65,7 @@ func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 	const shardHash = uint64(3) << 60
 	h := histWithSeed(5)
 	for i := 0; i < planShardCap+4; i++ {
-		s.store(shardHash, h, 2+i, 8, nil, EqualizerGHE, 0, &Plan{Range: 2 + i})
+		s.store(shardHash, h, 2+i, 8, nil, &Plan{Range: 2 + i})
 	}
 	if got := len(sh.entries); got != planShardCap {
 		t.Fatalf("shard holds %d entries, want cap %d", got, planShardCap)
@@ -74,10 +74,10 @@ func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 		t.Errorf("evictions %d, want 4", got)
 	}
 	// The 4 oldest entries are gone; the newest still hit.
-	if got := s.lookup(shardHash, h, 2, 8, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(shardHash, h, 2, 8, nil); got != nil {
 		t.Error("evicted entry still served")
 	}
-	if got := s.lookup(shardHash, h, 2+planShardCap+3, 8, nil, EqualizerGHE, 0); got == nil {
+	if got := s.lookup(shardHash, h, 2+planShardCap+3, 8, nil); got == nil {
 		t.Error("newest entry missing")
 	}
 	if got := mPlanCacheHits.Value() - hits0; got != 1 {
@@ -103,9 +103,9 @@ func TestPlanShardsConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				h := histWithSeed(i % 23)
 				r := 2 + (i+w)%250
-				hash := planHash(h, r, 8, EqualizerGHE, 0)
-				if s.lookup(hash, h, r, 8, nil, EqualizerGHE, 0) == nil {
-					s.store(hash, h, r, 8, nil, EqualizerGHE, 0, &Plan{Range: r})
+				hash := planHash(h, r, 8)
+				if s.lookup(hash, h, r, 8, nil) == nil {
+					s.store(hash, h, r, 8, nil, &Plan{Range: r})
 				}
 			}
 		}(w)
@@ -152,7 +152,7 @@ func TestPlanShardsEntriesGauge(t *testing.T) {
 			for i := 0; i < 4*planShardCap; i++ {
 				// Spread stores over every stripe via the hash's top bits.
 				hash := uint64(i%planCacheShards)<<60 | uint64(w)<<8 | uint64(i)
-				s.store(hash, h, 2+i%250, 8, nil, EqualizerGHE, 0, &Plan{})
+				s.store(hash, h, 2+i%250, 8, nil, &Plan{})
 			}
 		}(w)
 	}

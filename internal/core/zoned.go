@@ -252,13 +252,12 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 // tests' reference walk: per-zone targets from the analyzed ranges rs,
 // floors (the video governor's slew limits), the spatial relaxation,
 // then the backend's drive grid. targets, betas and rngs are filled in
-// place (each of length len(rs)). Returns the relaxation sweep count
-// and the resolved gradient bound.
-func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, targets, betas []float64, rngs []int) (sweeps int, maxGrad float64, err error) {
+// place (each of length len(rs)). Returns the relaxation sweep count.
+func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, targets, betas []float64, rngs []int) (sweeps int, err error) {
 	for k := range rs {
 		beta, err := power.BetaForRange(rs[k], transform.Levels)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		targets[k] = beta
 		betas[k] = beta
@@ -268,18 +267,14 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 			betas[k] = f
 		}
 	}
-	maxGrad = opts.ZoneMaxGradient
-	if maxGrad == 0 {
-		maxGrad = DefaultZoneMaxGradient
-	}
-	sweeps, err = backlight.Smooth(betas, g, maxGrad)
+	sweeps, err = backlight.Smooth(betas, g, DefaultZoneMaxGradient)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	for k := range betas {
 		q := b.QuantizeBeta(betas[k])
 		if q < betas[k] || q > 1 || q != q {
-			return 0, 0, fmt.Errorf("core: backend %s quantized zone %d β %v to %v (must round up within [0,1])",
+			return 0, fmt.Errorf("core: backend %s quantized zone %d β %v to %v (must round up within [0,1])",
 				b.Name(), k, betas[k], q)
 		}
 		betas[k] = q
@@ -290,10 +285,10 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 		}
 		rngs[k], err = power.RangeForBeta(betas[k], transform.Levels)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	return sweeps, maxGrad, nil
+	return sweeps, nil
 }
 
 // finalizeZoned is the tail of the walk (and of the tests' reference
@@ -301,7 +296,7 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 // identical at every worker count and, at 1×1, identical to the legacy
 // Subsystem.Power accumulation), the invariant checks and the run
 // telemetry. res.Zones and befores must be fully populated.
-func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, betas []float64, g backlight.Grid, maxGrad float64, sweeps int, sp *obs.Span) {
+func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, betas []float64, g backlight.Grid, sweeps int, sp *obs.Span) {
 	res.BetaMin, res.BetaMax = betas[0], betas[0]
 	var sum float64
 	for k := range res.Zones {
@@ -325,19 +320,18 @@ func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, bet
 			invariant.Assert(betas[k] >= targets[k],
 				"core: zone %d applied β %v below its own optimum %v", k, betas[k], targets[k])
 		}
-		if maxGrad > 0 {
-			// Quantization may re-open the smoothed gradient by at most
-			// one drive step.
-			step := 1.0 / float64(transform.Levels-1)
-			for k := range betas {
-				if k%g.Cols+1 < g.Cols {
-					invariant.Assert(betas[k]-betas[k+1] <= maxGrad+step+1e-9 && betas[k+1]-betas[k] <= maxGrad+step+1e-9,
-						"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+1], maxGrad)
-				}
-				if k/g.Cols+1 < g.Rows {
-					invariant.Assert(betas[k]-betas[k+g.Cols] <= maxGrad+step+1e-9 && betas[k+g.Cols]-betas[k] <= maxGrad+step+1e-9,
-						"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+g.Cols], maxGrad)
-				}
+		// Quantization may re-open the smoothed gradient by at most one
+		// drive step.
+		const maxGrad = DefaultZoneMaxGradient
+		step := 1.0 / float64(transform.Levels-1)
+		for k := range betas {
+			if k%g.Cols+1 < g.Cols {
+				invariant.Assert(betas[k]-betas[k+1] <= maxGrad+step+1e-9 && betas[k+1]-betas[k] <= maxGrad+step+1e-9,
+					"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+1], maxGrad)
+			}
+			if k/g.Cols+1 < g.Rows {
+				invariant.Assert(betas[k]-betas[k+g.Cols] <= maxGrad+step+1e-9 && betas[k+g.Cols]-betas[k] <= maxGrad+step+1e-9,
+					"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+g.Cols], maxGrad)
 			}
 		}
 	}

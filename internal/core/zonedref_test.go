@@ -96,7 +96,7 @@ func (e *Engine) processZonedRef(ctx context.Context, sp *obs.Span, img *gray.Im
 	targets := make([]float64, zones)
 	betas := make([]float64, zones)
 	rngs := make([]int, zones)
-	sweeps, maxGrad, err := betaField(opts, b, g, rs, targets, betas, rngs)
+	sweeps, err := betaField(opts, b, g, rs, targets, betas, rngs)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +114,7 @@ func (e *Engine) processZonedRef(ctx context.Context, sp *obs.Span, img *gray.Im
 		zsp := sp.Child("engine.zone")
 		defer zsp.End()
 		zsp.SetInt("zone", k)
-		plan, cached, err := e.planFor(ctx, zsp, z.hist, rngs[k], segments,
-			opts.Driver, opts.Equalizer, opts.ClipFactor)
+		plan, cached, err := e.planFor(ctx, zsp, z.hist, rngs[k], segments, opts.Driver)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -176,6 +175,6 @@ func (e *Engine) processZonedRef(ctx context.Context, sp *obs.Span, img *gray.Im
 		res.Release()
 		return nil, err
 	}
-	finalizeZoned(res, befores, targets, betas, g, maxGrad, sweeps, sp)
+	finalizeZoned(res, befores, targets, betas, g, sweeps, sp)
 	return res, nil
 }

@@ -34,7 +34,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 
@@ -49,23 +48,19 @@ import (
 
 // zonedOptKey fingerprints every Options field and the backend
 // identity the memoized per-zone values depend on: the range search
-// (budget, mode, curve), the plan operating point (segments, driver,
-// equalizer, clip) and the power model (the backend itself, compared
-// by identity — all shipped backends are pointers). β-field inputs
-// (floors, gradient bound) are deliberately absent: phase B always
-// recomputes, and the measurement memo keys on its output (range, β)
-// instead.
+// (budget, mode, curve), the plan operating point (segments, driver)
+// and the power model (the backend itself, compared by identity — all
+// shipped backends are pointers). The β-field input (the floors) is
+// deliberately absent: phase B always recomputes, and the measurement
+// memo keys on its output (range, β) instead.
 type zonedOptKey struct {
-	maxDist   float64
-	dynRange  int
-	exact     bool
-	worstCase bool
-	curve     *chart.Curve
-	segments  int
-	clipBits  uint64 // math.Float64bits(ClipFactor): comparable, NaN-proof
-	eq        Equalizer
-	drv       *driver.Config
-	backend   backlight.Backend
+	maxDist  float64
+	dynRange int
+	exact    bool
+	curve    *chart.Curve
+	segments int
+	drv      *driver.Config
+	backend  backlight.Backend
 }
 
 // zonedKeyFor builds the option key. ok is false when the options
@@ -74,16 +69,13 @@ type zonedOptKey struct {
 // survives across calls.
 func zonedKeyFor(opts Options, segments int, b backlight.Backend) (key zonedOptKey, ok bool) {
 	key = zonedOptKey{
-		maxDist:   opts.MaxDistortionPercent,
-		dynRange:  opts.DynamicRange,
-		exact:     opts.ExactSearch,
-		worstCase: opts.WorstCase,
-		curve:     opts.Curve,
-		segments:  segments,
-		clipBits:  math.Float64bits(opts.ClipFactor),
-		eq:        opts.Equalizer,
-		drv:       opts.Driver,
-		backend:   b,
+		maxDist:  opts.MaxDistortionPercent,
+		dynRange: opts.DynamicRange,
+		exact:    opts.ExactSearch,
+		curve:    opts.Curve,
+		segments: segments,
+		drv:      opts.Driver,
+		backend:  b,
 	}
 	return key, opts.Metric == nil && reflect.TypeOf(b).Comparable()
 }
@@ -270,7 +262,7 @@ func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.I
 	for k := range st.slots {
 		st.rs[k] = st.slots[k].r
 	}
-	sweeps, maxGrad, err := betaField(opts, b, g, st.rs, st.targets, st.betas, st.rngs)
+	sweeps, err := betaField(opts, b, g, st.rs, st.targets, st.betas, st.rngs)
 	if err != nil {
 		return nil, err
 	}
@@ -325,8 +317,7 @@ func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.I
 		zsp := sp.Child("engine.zone")
 		defer zsp.End()
 		zsp.SetInt("zone", k)
-		plan, cached, err := e.planFor(ctx, zsp, &z.hist, st.rngs[k], segments,
-			opts.Driver, opts.Equalizer, opts.ClipFactor)
+		plan, cached, err := e.planFor(ctx, zsp, &z.hist, st.rngs[k], segments, opts.Driver)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -404,7 +395,7 @@ func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.I
 			st.frameValid = true
 		}
 	}
-	finalizeZoned(res, st.befores, st.targets, st.betas, g, maxGrad, sweeps, sp)
+	finalizeZoned(res, st.befores, st.targets, st.betas, g, sweeps, sp)
 	sealed = true
 	return res, nil
 }

@@ -539,75 +539,6 @@ func AblationEqualizeVsClip(cfg Config, ranges []int) ([]AblationEqualizeRow, er
 	return rows, nil
 }
 
-// AblationEqualizerRow compares histogram-equalization variants at a
-// fixed dynamic range.
-type AblationEqualizerRow struct {
-	Method string
-	// MeanDistortion is the achieved UQI distortion percent.
-	MeanDistortion float64
-	// MeanMerged is the discarded-pixel percentage.
-	MeanMerged float64
-	// MeanBrightShift is |mean(compensated) − mean(original)| in 8-bit
-	// levels — the brightness-preservation criterion BBHE targets.
-	MeanBrightShift float64
-}
-
-// AblationEqualizers evaluates the paper's future-work item: plain GHE
-// against contrast-limited and brightness-preserving equalization, all
-// at the same dynamic range.
-func AblationEqualizers(cfg Config, r int) ([]AblationEqualizerRow, error) {
-	suite, err := cfg.suite()
-	if err != nil {
-		return nil, err
-	}
-	methods := []core.Equalizer{core.EqualizerGHE, core.EqualizerClipped, core.EqualizerBBHE}
-	var rows []AblationEqualizerRow
-	for _, m := range methods {
-		row := AblationEqualizerRow{Method: m.String()}
-		for _, ni := range suite {
-			res, err := core.Process(ni.Image, core.Options{
-				DynamicRange: r,
-				Equalizer:    m,
-				Metric:       cfg.Metric,
-				Subsystem:    cfg.Subsystem,
-			})
-			if err != nil {
-				return nil, err
-			}
-			merged, err := chart.MergedPixelPercent(ni.Image, res.Lambda)
-			if err != nil {
-				return nil, err
-			}
-			comp, err := res.CompensatedPreview()
-			if err != nil {
-				return nil, err
-			}
-			var origMean, compMean float64
-			for i := range ni.Image.Pix {
-				origMean += float64(ni.Image.Pix[i])
-				compMean += float64(comp.Pix[i])
-			}
-			n := float64(len(ni.Image.Pix))
-			row.MeanDistortion += res.AchievedDistortion
-			row.MeanMerged += merged
-			row.MeanBrightShift += absF(compMean/n - origMean/n)
-		}
-		n := float64(len(suite))
-		row.MeanDistortion /= n
-		row.MeanMerged /= n
-		row.MeanBrightShift /= n
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // AblationLCRow reports hardware realization error for one cell model
 // at one segment budget.
 type AblationLCRow struct {

@@ -44,6 +44,7 @@ func perSceneOracle(t *testing.T, seq *Sequence, pol Policy, cutDistance float64
 		res.Frames = append(res.Frames, r.Frames...)
 	}
 	res.aggregate()
+	res.Cuts = cuts
 	return res
 }
 
@@ -213,7 +214,7 @@ func TestCutDetectionCancellation(t *testing.T) {
 				t.Fatalf("workers=%d cancel at call %d: want a strict prefix, got %+v", workers, cancelAt, res)
 			}
 			k := len(res.Frames)
-			want := &Result{Frames: append([]FrameResult(nil), full.Frames[:k]...)}
+			want := &Result{Frames: append([]FrameResult(nil), full.Frames[:k]...), Cuts: full.Cuts}
 			want.aggregate()
 			if !reflect.DeepEqual(res, want) {
 				t.Fatalf("workers=%d cancel at call %d: %+v is not the aggregated %d-frame prefix %+v",

@@ -38,32 +38,26 @@ type deltaMeas struct {
 // observability); Metric cannot be compared (func type), so a non-nil
 // Metric invalidates cross-clip memoization instead.
 type deltaOptKey struct {
-	maxDist    float64
-	dynRange   int
-	exact      bool
-	worstCase  bool
-	curve      *chart.Curve
-	segments   int
-	clipFactor float64
-	eq         core.Equalizer
-	drv        *driver.Config
-	sub        *power.Subsystem
+	maxDist  float64
+	dynRange int
+	exact    bool
+	curve    *chart.Curve
+	segments int
+	drv      *driver.Config
+	sub      *power.Subsystem
 }
 
 // deltaKeyFor builds the fingerprint; comparable reports whether the
 // options admit cross-clip memoization at all.
 func deltaKeyFor(opts core.Options) (key deltaOptKey, comparable bool) {
 	return deltaOptKey{
-		maxDist:    opts.MaxDistortionPercent,
-		dynRange:   opts.DynamicRange,
-		exact:      opts.ExactSearch,
-		worstCase:  opts.WorstCase,
-		curve:      opts.Curve,
-		segments:   opts.Segments,
-		clipFactor: opts.ClipFactor,
-		eq:         opts.Equalizer,
-		drv:        opts.Driver,
-		sub:        opts.Subsystem,
+		maxDist:  opts.MaxDistortionPercent,
+		dynRange: opts.DynamicRange,
+		exact:    opts.ExactSearch,
+		curve:    opts.Curve,
+		segments: opts.Segments,
+		drv:      opts.Driver,
+		sub:      opts.Subsystem,
 	}, opts.Metric == nil
 }
 

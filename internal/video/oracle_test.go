@@ -113,5 +113,6 @@ func serialOracleCuts(t *testing.T, seq *Sequence, pol Policy, cutDistance float
 		res.Frames = append(res.Frames, serialOracle(t, scene, pol).Frames...)
 	}
 	res.aggregate()
+	res.Cuts = cuts
 	return res
 }

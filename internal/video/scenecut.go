@@ -82,14 +82,19 @@ func DetectCuts(seq *Sequence, threshold float64) ([]int, error) {
 // β jumps (CutThreshold is turned off): histogram-level detection
 // fires even when a cut lands on a similar β. cutDistance <= 0 selects
 // DefaultCutDistance. The clip runs as one walk whose governor
-// restarts at each cut. A cancellation returns what ProcessContext
-// returns: the aggregated contiguous prefix of frames that finished
-// Apply (empty during the range searches) with ctx's error.
+// restarts at each cut; Result.Cuts records the cuts. A cancellation
+// returns what ProcessContext returns: the aggregated contiguous
+// prefix of frames that finished Apply (empty during the range
+// searches) with ctx's error, still carrying the clip's cuts.
 func ProcessWithCutDetectionContext(ctx context.Context, seq *Sequence, pol Policy, cutDistance float64) (*Result, error) {
 	cuts, err := DetectCuts(seq, cutDistance)
 	if err != nil {
 		return nil, err
 	}
 	pol.CutThreshold = 0
-	return walk(ctx, seq, pol, cuts)
+	res, err := walk(ctx, seq, pol, cuts)
+	if res != nil {
+		res.Cuts = cuts
+	}
+	return res, err
 }

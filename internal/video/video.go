@@ -192,6 +192,10 @@ type Result struct {
 	// Flicker metrics over the applied β track.
 	MeanAbsDeltaBeta float64
 	MaxAbsDeltaBeta  float64
+	// Cuts lists the frames at which ProcessWithCutDetectionContext
+	// found a scene cut in the whole clip, in ascending order (nil
+	// without cut detection or when the clip has none).
+	Cuts []int
 }
 
 // Process runs per-frame HEBS with the temporal policy. The per-frame
